@@ -6,7 +6,7 @@ package sched
 // standard 2024 campus trace, and a 10× synthetic trace (ten
 // year-offset generations back to back) probing how the simulator
 // scales with trace length. The *Naive variants run the reference
-// oracle (oracle.go) — the pre-incremental implementation — on the
+// oracle (oracle_test.go) — the pre-incremental implementation — on the
 // same workload, so one `scripts/bench.sh` run records the speedup.
 
 import (

@@ -3,6 +3,7 @@ package sched
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"repro/internal/trace"
@@ -16,10 +17,10 @@ import (
 //
 // The hot path is incremental (DESIGN.md "Scheduler performance"): the
 // base profile is rebuilt from the sorted release list at most once per
-// simulation event and updated in place as jobs start; each reservation
-// pass works on a scratch copy, so nothing here allocates in steady
-// state. The pre-incremental implementation survives as the reference
-// oracle in oracle.go.
+// simulation event and updated in place as jobs start; reservations go
+// on a scratch copy that is kept for as long as they provably hold, so
+// nothing here allocates in steady state. The pre-incremental
+// implementation survives as the reference oracle in oracle_test.go.
 
 // bfDepth caps how many queued jobs receive reservations per scheduling
 // pass, mirroring Slurm's bf_max_job_test; jobs beyond the cap simply
@@ -70,7 +71,7 @@ func (p *profile) copyFrom(src *profile) {
 
 // rebuildBase reconstructs the availability profile for the current
 // instant from free resources and the incrementally maintained release
-// list. Unlike the oracle's newProfileNaive this does not sort (the
+// list. Unlike the oracle's profile rebuild this does not sort (the
 // release list is kept ordered on job start/finish) and reuses the
 // base profile's backing arrays, so a rebuild is one linear merge.
 func (s *sim) rebuildBase() {
@@ -182,14 +183,42 @@ func (p *profile) boundary(t int64) int {
 	return idx
 }
 
-// scheduleConservative runs one conservative-backfill pass: walk the
+// relabel moves the first step's start to now. It reports false, and
+// changes nothing, when a later step does not start after now.
+func (p *profile) relabel(now int64) bool {
+	if len(p.times) > 1 && p.times[1] <= now {
+		return false
+	}
+	p.times[0] = now
+	return true
+}
+
+// hasPrefix reports whether order begins with exactly the jobs of
+// prefix, compared by identity.
+func hasPrefix(order, prefix []*queued) bool {
+	return len(order) >= len(prefix) && slices.Equal(order[:len(prefix)], prefix)
+}
+
+// scheduleConservative runs conservative-backfill passes: walk the
 // queue in priority order, give each of the first bfDepth jobs a
-// reservation, and start those whose reservation is now. Each pass
-// works on a scratch copy of the base profile; when a job starts, the
-// base is updated in place (a start is exactly a reservation over the
-// job's limit window) rather than rebuilt, which is what makes the
-// restarted pass cheap.
+// reservation, and start those whose reservation is now. A start is
+// exactly a reservation over the job's limit window, so it updates the
+// base in place instead of rebuilding it.
+//
+// Reservations are not redone while their result is known. s.work is
+// the base plus the reservations of s.resv, and whenever the priority
+// order still begins with s.resv a pass goes on after those jobs rather
+// than from a fresh copy of the base. Two cases keep work valid
+// (DESIGN.md "Reservations that cannot have changed" gives the
+// reasons): a start, which is reserved on work as on the base, and an
+// event with arrivals only, after a pass that reserved nothing at its
+// instant, where the profile only needs its first step moved to the
+// new now.
 func (s *sim) scheduleConservative() error {
+	p := &s.work
+	keep := s.carry && p.relabel(s.now)
+	s.carry = false
+	atNow := false // a reservation at now blocks carrying work to the next event
 	for {
 		order := s.order()
 		if len(order) == 0 {
@@ -198,14 +227,16 @@ func (s *sim) scheduleConservative() error {
 		if !s.baseOK {
 			s.rebuildBase()
 		}
-		p := &s.work
-		p.copyFrom(&s.base)
-		startedOne := false
-		depth := len(order)
-		if depth > bfDepth {
-			depth = bfDepth
+		// With fairshare a start charges the starter's user, which can
+		// move that user's reserved jobs; then the pass starts over.
+		if !keep || !hasPrefix(order, s.resv) {
+			p.copyFrom(&s.base)
+			s.resv = s.resv[:0]
 		}
-		for qi := 0; qi < depth; qi++ {
+		keep = true
+		startedOne := false
+		depth := min(len(order), bfDepth)
+		for qi := len(s.resv); qi < depth; qi++ {
 			q := order[qi]
 			n := needOf(q.job)
 			start, ok := p.earliestFit(n, q.job.Limit)
@@ -216,15 +247,19 @@ func (s *sim) scheduleConservative() error {
 			if start == s.now && s.fits(q.job) {
 				s.start(q)
 				s.base.reserve(n, s.now, q.job.Limit)
+				p.reserve(n, s.now, q.job.Limit)
 				if qi > 0 {
 					s.backfills++
 				}
 				startedOne = true
-				break // state changed; restart the pass on the updated base
+				break
 			}
 			p.reserve(n, start, q.job.Limit)
+			s.resv = append(s.resv, q)
+			atNow = atNow || start == s.now
 		}
 		if !startedOne {
+			s.carry = !atNow
 			return nil
 		}
 	}

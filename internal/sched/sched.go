@@ -9,10 +9,11 @@
 package sched
 
 import (
-	"container/heap"
+	"cmp"
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"repro/internal/trace"
@@ -156,10 +157,19 @@ var ErrNeverFits = errors.New("sched: job exceeds steady-state capacity")
 // on the cluster. Jobs whose requests exceed the machine are rejected up
 // front with an error naming the job. The simulation is deterministic.
 func Simulate(cluster Cluster, jobs []trace.Job, opt Options) (*Result, error) {
-	return simulate(cluster, jobs, opt, false)
+	s, err := newCheckedSim(cluster, jobs, opt)
+	if err != nil {
+		return nil, err
+	}
+	if err := s.run(s.schedule); err != nil {
+		return nil, err
+	}
+	return s.finish()
 }
 
-func simulate(cluster Cluster, jobs []trace.Job, opt Options, naive bool) (*Result, error) {
+// newCheckedSim validates the cluster, options and every job, then
+// builds the simulation state over the batch.
+func newCheckedSim(cluster Cluster, jobs []trace.Job, opt Options) (*sim, error) {
 	if err := cluster.Validate(); err != nil {
 		return nil, err
 	}
@@ -172,12 +182,7 @@ func simulate(cluster Cluster, jobs []trace.Job, opt Options, naive bool) (*Resu
 			return nil, err
 		}
 	}
-	s := newSim(cluster, jobs, opt)
-	s.naive = naive
-	if err := s.run(); err != nil {
-		return nil, err
-	}
-	return s.finish()
+	return newSim(cluster, jobs, opt), nil
 }
 
 // sim holds the event-driven simulation state.
@@ -214,22 +219,23 @@ type sim struct {
 	gpuBusyInt float64
 	lastT      int64
 
-	// naive routes scheduling through the reference oracle (oracle.go).
-	naive bool
-
 	// Incremental availability machinery (DESIGN.md "Scheduler
 	// performance"). releases mirrors the running set as limit-based
 	// release events sorted by (t, seq), updated on every job start and
 	// completion. base is the availability profile for the current
 	// event, rebuilt from releases at most once per simulation event
 	// (baseOK) and then maintained incrementally as jobs start; work is
-	// the per-pass reservation scratch copied from base. prio caches
-	// the fairshare priority order between mutations (prioDirty), and
-	// shadowRels is the reusable buffer behind EASY's shadow sort.
+	// base plus the reservations of the jobs in resv, in priority order.
+	// carry says work and resv stay valid into the next event unless it
+	// brings a completion. prio caches the fairshare priority order
+	// between mutations (prioDirty), and shadowRels is the reusable
+	// buffer behind EASY's shadow sort.
 	releases   []release
 	base       profile
 	work       profile
 	baseOK     bool
+	resv       []*queued
+	carry      bool
 	prio       []*queued
 	prioDirty  bool
 	shadowRels []shadowRel
@@ -265,16 +271,51 @@ type runEntry struct {
 }
 type runHeap []runEntry
 
-func (h runHeap) Len() int { return len(h) }
-func (h runHeap) Less(a, b int) bool {
+func (h runHeap) less(a, b int) bool {
 	if h[a].end != h[b].end {
 		return h[a].end < h[b].end
 	}
 	return h[a].seq < h[b].seq
 }
-func (h runHeap) Swap(a, b int) { h[a], h[b] = h[b], h[a] }
-func (h *runHeap) Push(x any)   { *h = append(*h, x.(runEntry)) }
-func (h *runHeap) Pop() any     { old := *h; n := len(old); e := old[n-1]; *h = old[:n-1]; return e }
+
+// push and pop follow container/heap's up and down step for step: the
+// heap's array layout is the order shadow() reads the running set in,
+// so it decides how equal release times tie there.
+func (h *runHeap) push(e runEntry) {
+	*h = append(*h, e)
+	q := *h
+	for j := len(q) - 1; j > 0; {
+		i := (j - 1) / 2
+		if !q.less(j, i) {
+			break
+		}
+		q[i], q[j] = q[j], q[i]
+		j = i
+	}
+}
+
+func (h *runHeap) pop() runEntry {
+	q := *h
+	n := len(q) - 1
+	q[0], q[n] = q[n], q[0]
+	for i := 0; ; {
+		j := 2*i + 1
+		if j >= n {
+			break
+		}
+		if j2 := j + 1; j2 < n && q.less(j2, j) {
+			j = j2
+		}
+		if !q.less(j, i) {
+			break
+		}
+		q[i], q[j] = q[j], q[i]
+		i = j
+	}
+	e := q[n]
+	*h = q[:n]
+	return e
+}
 
 // JobsSorted reports whether jobs are already in simulation arrival
 // order: ascending submit time, ties broken by ascending ID.
@@ -475,11 +516,18 @@ func (s *sim) order() []*queued {
 		for _, q := range s.prio {
 			q.key = s.usage[q.user]
 		}
-		sort.SliceStable(s.prio, func(a, b int) bool {
-			if s.prio[a].key != s.prio[b].key {
-				return s.prio[a].key < s.prio[b].key
+		// prio starts in seq order, so keys come in a few presorted
+		// runs; the stable merge sort needs far fewer comparisons on
+		// that than pdqsort (FCFS with fairshare on the campus trace:
+		// 1.2 s against 3.7 s).
+		slices.SortStableFunc(s.prio, func(a, b *queued) int {
+			switch {
+			case a.key < b.key:
+				return -1
+			case a.key > b.key:
+				return 1
 			}
-			return s.prio[a].seq < s.prio[b].seq
+			return cmp.Compare(a.seq, b.seq)
 		})
 		s.prioDirty = false
 	}
@@ -488,7 +536,7 @@ func (s *sim) order() []*queued {
 
 func (s *sim) start(q *queued) {
 	s.alloc(q.job)
-	heap.Push(&s.running, runEntry{end: s.now + q.job.Elapsed, job: q.job, seq: q.seq})
+	s.running.push(runEntry{end: s.now + q.job.Elapsed, job: q.job, seq: q.seq})
 	s.insertRelease(release{t: s.now + q.job.Limit, seq: q.seq, n: needOf(q.job)})
 	s.results = append(s.results, JobResult{Job: q.job, Start: s.now, Wait: s.now - q.job.Submit})
 	s.usage[q.user] += float64(q.job.Cores()) * float64(q.job.Elapsed)
@@ -505,10 +553,6 @@ func (s *sim) start(q *queued) {
 
 // schedule starts every job the policy allows at the current instant.
 func (s *sim) schedule() error {
-	if s.naive {
-		s.scheduleNaive()
-		return nil
-	}
 	if s.opt.Policy == ConservativeBackfill {
 		return s.scheduleConservative()
 	}
@@ -525,10 +569,18 @@ func (s *sim) schedule() error {
 		} else if s.opt.Policy == EASYBackfill && len(order) > 1 {
 			// Shadow time: when will the head fit, assuming running jobs
 			// hold resources until their *requested* limits (as EASY does)?
-			shadow, spareCPU, spareGPUCore, spareGPU := s.shadow(head.job)
+			// Nothing it reads changes before a start, so it is computed
+			// once, when the first candidate fits.
+			var shadow int64
+			var spareCPU, spareGPUCore, spareGPU int
+			haveShadow := false
 			for _, cand := range order[1:] {
 				if !s.fits(cand.job) {
 					continue
+				}
+				if !haveShadow {
+					shadow, spareCPU, spareGPUCore, spareGPU = s.shadow(head.job)
+					haveShadow = true
 				}
 				// A backfilled job must either end by the shadow time or
 				// not touch the resources the head is waiting for.
@@ -556,9 +608,10 @@ func (s *sim) schedule() error {
 // shadow computes the head job's reservation: the earliest time enough
 // resources free up (by requested limits), plus the spare capacity at
 // that time beyond what the head needs. The rels buffer is reused
-// across calls; the fill order (run-heap layout) and tie-unstable sort
-// are kept exactly as the oracle's so spare-capacity ties resolve
-// identically.
+// across calls. The fill order (run-heap layout) and the tie-unstable
+// sort are kept exactly as the oracle's, so spare-capacity ties resolve
+// identically: slices.SortFunc and the oracle's sort.Slice are
+// generated from the same pdqsort template and permute alike.
 func (s *sim) shadow(head trace.Job) (shadowTime int64, spareCPU, spareGPUCore, spareGPU int) {
 	rels := s.shadowRels[:0]
 	for i := range s.running {
@@ -575,7 +628,7 @@ func (s *sim) shadow(head trace.Job) (shadowTime int64, spareCPU, spareGPUCore, 
 		rels = append(rels, r)
 	}
 	s.shadowRels = rels
-	sort.Slice(rels, func(a, b int) bool { return rels[a].t < rels[b].t })
+	slices.SortFunc(rels, func(a, b shadowRel) int { return cmp.Compare(a.t, b.t) })
 	cpu, gpuc, gpu := s.cpuFree, s.gpuCore, s.gpuFree
 	headFits := func() bool {
 		if head.Partition == "gpu" {
@@ -615,12 +668,14 @@ func (s *sim) shadow(head trace.Job) (shadowTime int64, spareCPU, spareGPUCore, 
 	return shadowTime, spareCPU, spareGPUCore, spareGPU
 }
 
-func (s *sim) run() error {
+// run drives the event loop, calling step after each event's
+// completions and arrivals to start whatever the policy allows.
+func (s *sim) run(step func() error) error {
 	guard := 0
 	maxEvents := s.total*4 + 16
 	for {
 		_, more := s.src.peek()
-		if !more && len(s.queue) == 0 && s.running.Len() == 0 {
+		if !more && len(s.queue) == 0 && len(s.running) == 0 {
 			break
 		}
 		guard++
@@ -632,7 +687,7 @@ func (s *sim) run() error {
 		if t, ok := s.src.peek(); ok {
 			next = t
 		}
-		if s.running.Len() > 0 && s.running[0].end < next {
+		if len(s.running) > 0 && s.running[0].end < next {
 			next = s.running[0].end
 		}
 		if next == math.MaxInt64 {
@@ -653,8 +708,9 @@ func (s *sim) run() error {
 		// (at most once) before the next conservative pass uses it.
 		s.baseOK = false
 		// Process completions at this instant.
-		for s.running.Len() > 0 && s.running[0].end == next {
-			e := heap.Pop(&s.running).(runEntry)
+		for len(s.running) > 0 && s.running[0].end == next {
+			s.carry = false // the base changed under the kept reservations
+			e := s.running.pop()
 			s.release(e.job)
 			s.removeRelease(e.end-e.job.Elapsed+e.job.Limit, e.seq)
 		}
@@ -669,7 +725,7 @@ func (s *sim) run() error {
 			s.arrivals++
 			s.prioDirty = true
 		}
-		if err := s.schedule(); err != nil {
+		if err := step(); err != nil {
 			return err
 		}
 	}

@@ -137,7 +137,7 @@ func SimulateTable(cluster Cluster, t table.Table[trace.Job], opt Options) (*Res
 	applyOptionDefaults(&opt)
 	src := &tableSource{sc: t.Scanner(0, 1, 1), cluster: cluster}
 	s := newSimFromSource(cluster, src, total, 64+total/8, opt)
-	if err := s.run(); err != nil {
+	if err := s.run(s.schedule); err != nil {
 		return nil, err
 	}
 	return s.finish()
