@@ -47,6 +47,9 @@ var errdropScopePackages = map[string]bool{
 	// sync, or close error there would let a torn entry masquerade as a
 	// durable one until checksum verification catches it much later.
 	"stagecache": true,
+	// durable is the crash-safe writer under every store: a sync or
+	// close error it dropped would report a torn file as written.
+	"durable": true,
 }
 
 // ErrDrop flags statements (including defers) that silently discard the

@@ -21,6 +21,9 @@ var panicsafeScopePackages = map[string]bool{
 	// background goroutine (async spill, janitor) must not be able to
 	// kill the process.
 	"stagecache": true,
+	// durable sits under the daemon's spill and stage stores: any
+	// future background goroutine there must not kill the process.
+	"durable": true,
 }
 
 // PanicSafe flags `go` statements that launch a goroutine without a

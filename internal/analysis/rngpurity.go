@@ -37,6 +37,10 @@ var pipelinePackages = map[string]bool{
 	// must never consult ambient time, env, or randomness, or a restored
 	// run stops being a pure function of its seed.
 	"stagecache": true,
+	// durable stores and replays the bytes those stores hand back: its
+	// verification and replay order must never consult ambient time,
+	// env, or randomness.
+	"durable": true,
 }
 
 // pipelinePaths extends the scope to packages matched by import path

@@ -4,194 +4,123 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
+	"errors"
 	"fmt"
-	"os"
-	"path/filepath"
-	"sort"
-	"strings"
 
+	"repro/internal/durable"
 	"repro/internal/obs"
 )
 
-// diskStore spills completed rendered artifacts to a directory so a
+// diskStore spills completed rendered artifacts to a durable.Dir so a
 // crashed or restarted daemon warm-starts its cache instead of
 // recomputing every run. The determinism contract makes this safe: a
 // cacheKey identifies exactly one byte sequence, so a spilled entry can
-// be trusted forever — the only failure mode is corruption (torn write,
-// bit rot), which the embedded checksum catches on load.
-//
-// Writes are crash-safe: the envelope is written to a temp file in the
-// same directory, fsynced, closed, and atomically renamed into place,
-// so a kill at any instant leaves either the old state or the new state
-// — never a half-written entry under a valid name.
+// be trusted forever — the only failure mode is damage, which the
+// envelope's checksum and key echo catch on load.
 type diskStore struct {
-	dir string
+	dir *durable.Dir
 
 	spill     *obs.CounterVec // outcome: ok | error
 	warmstart *obs.CounterVec // outcome: restored | corrupt
 	diskHits  *obs.Counter
 }
 
-// spillEnvelope is the on-disk JSON form of one cache entry.
-type spillEnvelope struct {
-	V           int    `json:"v"`
+// spillBody is the JSON payload of one spilled entry. It carries its
+// own key triple so a load can prove the entry was rendered for the
+// key it was filed under.
+type spillBody struct {
 	Fingerprint string `json:"fingerprint"`
 	Artifact    string `json:"artifact"`
 	Format      string `json:"format"`
 	ContentType string `json:"contentType"`
-	SHA256      string `json:"sha256"`
 	Body        []byte `json:"body"` // base64 via encoding/json
 }
 
-const spillVersion = 1
-
 // newDiskStore opens (creating if needed) the spill directory.
 func newDiskStore(dir string, spill, warmstart *obs.CounterVec, diskHits *obs.Counter) (*diskStore, error) {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
+	d, err := durable.Open(dir, ".json")
+	if err != nil {
 		return nil, fmt.Errorf("serve: cache dir: %w", err)
 	}
-	return &diskStore{dir: dir, spill: spill, warmstart: warmstart, diskHits: diskHits}, nil
+	return &diskStore{dir: d, spill: spill, warmstart: warmstart, diskHits: diskHits}, nil
 }
 
-// path maps a cache key onto a stable filename: the hex SHA-256 of the
-// key triple. Content-addressed naming means concurrent spills of the
-// same key converge on the same file with identical bytes.
-func (d *diskStore) path(key cacheKey) string {
+// spillName maps a cache key onto its entry name: the hex SHA-256 of
+// the key triple. Content-addressed naming means concurrent spills of
+// the same key converge on the same file with identical bytes.
+func spillName(key cacheKey) string {
 	sum := sha256.Sum256([]byte(key.fingerprint + "\x00" + key.artifact + "\x00" + key.format))
-	return filepath.Join(d.dir, hex.EncodeToString(sum[:])+".json")
+	return hex.EncodeToString(sum[:])
 }
 
-// save spills one entry, atomically and durably (temp + fsync + rename
-// + best-effort directory fsync). Spill failures are counted, never
+// save spills one entry crash-safely. Spill failures are counted, never
 // fatal: the cache keeps working from memory.
 func (d *diskStore) save(key cacheKey, e cacheEntry) {
-	if err := d.trySave(key, e); err != nil {
+	blob, err := json.Marshal(spillBody{
+		Fingerprint: key.fingerprint,
+		Artifact:    key.artifact,
+		Format:      key.format,
+		ContentType: e.contentType,
+		Body:        e.body,
+	})
+	if err == nil {
+		err = d.dir.Put(spillName(key), blob)
+	}
+	if err != nil {
 		d.spill.With("error").Inc()
 		return
 	}
 	d.spill.With("ok").Inc()
 }
 
-func (d *diskStore) trySave(key cacheKey, e cacheEntry) error {
-	sum := sha256.Sum256(e.body)
-	env := spillEnvelope{
-		V:           spillVersion,
-		Fingerprint: key.fingerprint,
-		Artifact:    key.artifact,
-		Format:      key.format,
-		ContentType: e.contentType,
-		SHA256:      hex.EncodeToString(sum[:]),
-		Body:        e.body,
-	}
-	blob, err := json.Marshal(env)
-	if err != nil {
-		return err
-	}
-	tmp, err := os.CreateTemp(d.dir, ".spill-*")
-	if err != nil {
-		return err
-	}
-	tmpName := tmp.Name()
-	// Any failure below must not leave the temp file behind; the write
-	// error is the one worth reporting, so the cleanup Close is a
-	// deliberate discard.
-	fail := func(err error) error {
-		_ = tmp.Close()
-		os.Remove(tmpName)
-		return err
-	}
-	if _, err := tmp.Write(blob); err != nil {
-		return fail(err)
-	}
-	if err := tmp.Sync(); err != nil {
-		return fail(err)
-	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmpName)
-		return err
-	}
-	if err := os.Rename(tmpName, d.path(key)); err != nil {
-		os.Remove(tmpName)
-		return err
-	}
-	// Durability of the rename itself: fsync the directory. Best-effort
-	// — some filesystems refuse directory fsync, and the entry is still
-	// atomic without it.
-	if dirF, err := os.Open(d.dir); err == nil {
-		_ = dirF.Sync()
-		_ = dirF.Close()
-	}
-	return nil
-}
-
-// load reads one entry back by key, checksum-validated. A corrupt file
-// is removed and reported absent.
+// load reads one entry back by key. A damaged entry, or one rendered
+// for another key, is removed and reported absent.
 func (d *diskStore) load(key cacheKey) (cacheEntry, bool) {
-	e, _, ok := d.read(d.path(key))
-	if !ok {
+	name := spillName(key)
+	payload, status := d.dir.Get(name)
+	if status != durable.OK {
+		return cacheEntry{}, false
+	}
+	_, e, err := decodeSpill(name, payload)
+	if err != nil {
+		d.dir.Delete(name)
 		return cacheEntry{}, false
 	}
 	d.diskHits.Inc()
 	return e, true
 }
 
-// read parses and validates one spill file. Corrupt or mismatched files
-// are deleted so they cannot be retried forever.
-func (d *diskStore) read(path string) (cacheEntry, cacheKey, bool) {
-	blob, err := os.ReadFile(path)
-	if err != nil {
-		return cacheEntry{}, cacheKey{}, false
+// decodeSpill parses one payload and checks that its key triple hashes
+// to the name it was filed under.
+func decodeSpill(name string, payload []byte) (cacheKey, cacheEntry, error) {
+	var b spillBody
+	if err := json.Unmarshal(payload, &b); err != nil {
+		return cacheKey{}, cacheEntry{}, err
 	}
-	var env spillEnvelope
-	if err := json.Unmarshal(blob, &env); err != nil || env.V != spillVersion {
-		os.Remove(path)
-		return cacheEntry{}, cacheKey{}, false
+	key := cacheKey{fingerprint: b.Fingerprint, artifact: b.Artifact, format: b.Format}
+	if spillName(key) != name {
+		return cacheKey{}, cacheEntry{}, errors.New("serve: spilled entry belongs to another key")
 	}
-	sum := sha256.Sum256(env.Body)
-	if hex.EncodeToString(sum[:]) != env.SHA256 {
-		os.Remove(path)
-		return cacheEntry{}, cacheKey{}, false
-	}
-	key := cacheKey{fingerprint: env.Fingerprint, artifact: env.Artifact, format: env.Format}
-	entry := cacheEntry{body: env.Body, etag: etagFor(env.Body), contentType: env.ContentType}
-	return entry, key, true
+	return key, cacheEntry{body: b.Body, etag: etagFor(b.Body), contentType: b.ContentType}, nil
 }
 
-// loadAll streams every valid spilled entry into fn (warm start),
-// counting restored and corrupt files. Leftover temp files from a crash
-// mid-spill are swept.
-func (d *diskStore) loadAll(fn func(key cacheKey, e cacheEntry)) (restored, corrupt int) {
-	entries, err := os.ReadDir(d.dir)
-	if err != nil {
-		return 0, 0
+// loadAll replays every valid spilled entry into fn (warm start),
+// counting restored and corrupt files. Entries from older builds, whose
+// spill files had no rcpt-stg envelope, count as corrupt once and are
+// recomputed on demand with the same ETag.
+func (d *diskStore) loadAll(fn func(key cacheKey, e cacheEntry)) {
+	restored, corrupt := d.dir.Replay(func(name string, payload []byte) error {
+		key, e, err := decodeSpill(name, payload)
+		if err == nil {
+			fn(key, e)
+		}
+		return err
+	})
+	// Only outcomes that occurred get a series, as with Inc.
+	if restored > 0 {
+		d.warmstart.With("restored").Add(uint64(restored))
 	}
-	// Sort explicitly rather than relying on ReadDir's ordering, so
-	// warm-start order (and therefore any LRU ordering it induces) is
-	// deterministic by construction, not by library contract.
-	names := make([]string, 0, len(entries))
-	for _, de := range entries {
-		if !de.IsDir() {
-			names = append(names, de.Name())
-		}
+	if corrupt > 0 {
+		d.warmstart.With("corrupt").Add(uint64(corrupt))
 	}
-	sort.Strings(names)
-	for _, name := range names {
-		if strings.HasPrefix(name, ".spill-") {
-			os.Remove(filepath.Join(d.dir, name))
-			continue
-		}
-		if !strings.HasSuffix(name, ".json") {
-			continue
-		}
-		entry, key, ok := d.read(filepath.Join(d.dir, name))
-		if !ok {
-			corrupt++
-			d.warmstart.With("corrupt").Inc()
-			continue
-		}
-		restored++
-		d.warmstart.With("restored").Inc()
-		fn(key, entry)
-	}
-	return restored, corrupt
 }

@@ -520,6 +520,62 @@ func TestSpillSurvivesAbruptStop(t *testing.T) {
 	}
 }
 
+// TestWarmStartRejectsCrossCopiedSpill: the T5 json spill file copied
+// over the T5 csv file's name is intact bytes filed under the wrong key.
+// A restarted server must count it corrupt, remove it, and recompute
+// the csv body — never serve the json body (or its ETag) for csv.
+func TestWarmStartRejectsCrossCopiedSpill(t *testing.T) {
+	dir := t.TempDir()
+	s1 := newTestServer(t, Options{CacheDir: dir})
+	want := map[string]*httptest.ResponseRecorder{}
+	for _, format := range []string{"json", "csv"} {
+		w := get(t, s1.Handler(), "/v1/tables/T5?format="+format)
+		if w.Code != 200 {
+			t.Fatalf("%s render = %d", format, w.Code)
+		}
+		want[format] = w
+	}
+	files, err := filepath.Glob(filepath.Join(dir, "*.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	spilled := map[string]string{} // format -> spill file
+	for _, f := range files {
+		blob, err := os.ReadFile(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, format := range []string{"json", "csv"} {
+			if strings.Contains(string(blob), `"format":"`+format+`"`) {
+				spilled[format] = f
+			}
+		}
+	}
+	if spilled["json"] == "" || spilled["csv"] == "" {
+		t.Fatalf("spill files for both formats not found among %v", files)
+	}
+	blob, err := os.ReadFile(spilled["json"])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(spilled["csv"], blob, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	s2 := newTestServer(t, Options{CacheDir: dir})
+	if got := s2.disk.warmstart.With("corrupt").Value(); got != 1 {
+		t.Errorf("corrupt warm-start count = %d, want 1", got)
+	}
+	w := get(t, s2.Handler(), "/v1/tables/T5?format=csv")
+	if w.Code != 200 {
+		t.Fatalf("csv after restart = %d: %s", w.Code, w.Body)
+	}
+	if w.Header().Get("ETag") != want["csv"].Header().Get("ETag") || w.Body.String() != want["csv"].Body.String() {
+		t.Fatalf("csv after restart served ETag %s, want %s (json's is %s)",
+			w.Header().Get("ETag"), want["csv"].Header().Get("ETag"), want["json"].Header().Get("ETag"))
+	}
+}
+
 // TestDiskReadThrough: an entry evicted from memory but present on disk
 // is served from the spill (and counted) without re-rendering.
 func TestDiskReadThrough(t *testing.T) {

@@ -10,9 +10,8 @@
 // everything unaffected keeps hitting.
 //
 // Storage is two-tier: a count+byte-bounded in-memory LRU in front of
-// an optional on-disk spill in the crash-safe idiom the serving layer's
-// artifact cache established (temp file + fsync + atomic rename), each
-// entry a checksummed "rcpt-stg/1" envelope verified on every load.
+// an optional on-disk durable.Dir of <key>.stg files, each a
+// checksummed "rcpt-stg/1" envelope verified on every load.
 // The failure contract matches the rest of the repo: a corrupt, torn,
 // or truncated entry is deleted and reported as a miss — the stage
 // recomputes, so faults cost latency, never bytes.
@@ -20,8 +19,10 @@ package stagecache
 
 import (
 	"container/list"
+	"fmt"
 	"sync"
 
+	"repro/internal/durable"
 	"repro/internal/obs"
 )
 
@@ -65,7 +66,7 @@ type Metrics struct {
 // use.
 type Cache struct {
 	opts Options
-	disk *diskTier // nil when Options.Dir is empty
+	disk *durable.Dir // nil when Options.Dir is empty
 
 	mu    sync.Mutex
 	ll    *list.List // front = most recently used; values are *memEntry
@@ -98,9 +99,9 @@ func New(opts Options) (*Cache, error) {
 		items: map[string]*list.Element{},
 	}
 	if opts.Dir != "" {
-		disk, err := newDiskTier(opts.Dir)
+		disk, err := durable.Open(opts.Dir, ".stg")
 		if err != nil {
-			return nil, err
+			return nil, fmt.Errorf("stagecache: dir: %w", err)
 		}
 		c.disk = disk
 	}
@@ -123,14 +124,14 @@ func (c *Cache) Load(key string) ([]byte, bool) {
 	}
 	c.mu.Unlock()
 	if c.disk != nil {
-		payload, status := c.disk.read(key)
+		payload, status := c.disk.Get(key)
 		switch status {
-		case diskOK:
+		case durable.OK:
 			c.put(key, payload)
 			c.count(c.opts.Metrics.diskHits())
 			c.count(c.opts.Metrics.hits())
 			return payload, true
-		case diskCorrupt:
+		case durable.Corrupt:
 			c.count(c.opts.Metrics.corrupt())
 		}
 	}
@@ -150,7 +151,7 @@ func (c *Cache) Store(key string, payload []byte) {
 	c.put(key, payload)
 	c.count(c.opts.Metrics.stores())
 	if c.disk != nil {
-		if err := c.disk.write(key, payload); err != nil {
+		if err := c.disk.Put(key, payload); err != nil {
 			c.count(c.opts.Metrics.diskErrors())
 		}
 	}
@@ -167,7 +168,7 @@ func (c *Cache) Delete(key string) {
 	c.mu.Unlock()
 	c.gauges()
 	if c.disk != nil {
-		c.disk.remove(key)
+		c.disk.Delete(key)
 	}
 }
 
@@ -175,13 +176,12 @@ func (c *Cache) Delete(key string) {
 // envelopes and leftover temp files from a crashed write are deleted,
 // valid entries are counted as restorable (they load lazily through
 // Load, so boot cost is one verification scan, not a full residency
-// load). The scan order is explicitly sorted so warm-start counts and
-// any order-dependent bookkeeping are deterministic across filesystems.
+// load). The scan is durable.Dir.Replay, in sorted name order.
 func (c *Cache) Warm() (restored, corrupt int) {
 	if c.disk == nil {
 		return 0, 0
 	}
-	restored, corrupt = c.disk.warm()
+	restored, corrupt = c.disk.Replay(func(string, []byte) error { return nil })
 	for i := 0; i < corrupt; i++ {
 		c.count(c.opts.Metrics.corrupt())
 	}

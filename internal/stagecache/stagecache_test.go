@@ -1,7 +1,6 @@
 package stagecache
 
 import (
-	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
@@ -125,11 +124,11 @@ func TestWarmSweepsTempAndCorrupt(t *testing.T) {
 	c.Store(key("good"), []byte("ok"))
 
 	// A crashed mid-write temp file and a truncated entry.
-	if err := os.WriteFile(filepath.Join(dir, stgTempPrefix+"123"), []byte("partial"), 0o644); err != nil {
+	if err := os.WriteFile(filepath.Join(dir, ".spill-123"), []byte("partial"), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	bad := key("bad")
-	if err := os.WriteFile(filepath.Join(dir, bad+stgSuffix), []byte(stgMagic+"trunc"), 0o644); err != nil {
+	if err := os.WriteFile(filepath.Join(dir, bad+".stg"), []byte("rcpt-stg/1\ntrunc"), 0o644); err != nil {
 		t.Fatal(err)
 	}
 
@@ -146,10 +145,10 @@ func TestWarmSweepsTempAndCorrupt(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, de := range entries {
-		if strings.HasPrefix(de.Name(), stgTempPrefix) {
+		if strings.HasPrefix(de.Name(), ".spill-") {
 			t.Fatalf("temp file %s survived warm sweep", de.Name())
 		}
-		if de.Name() == bad+stgSuffix {
+		if de.Name() == bad+".stg" {
 			t.Fatal("corrupt entry survived warm sweep")
 		}
 	}
@@ -169,7 +168,7 @@ func TestCorruptEntryDeletedOnLoad(t *testing.T) {
 
 	// Bit-flip the payload region on disk, then force a disk read by
 	// using a fresh cache (empty memory tier).
-	path := filepath.Join(dir, k+stgSuffix)
+	path := filepath.Join(dir, k+".stg")
 	blob, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
@@ -199,11 +198,11 @@ func TestEnvelopeKeyMismatch(t *testing.T) {
 	ka, kb := key("a"), key("b")
 	c.Store(ka, []byte("a-bytes"))
 	// Copy a's entry under b's name: valid checksum, wrong identity.
-	blob, err := os.ReadFile(filepath.Join(dir, ka+stgSuffix))
+	blob, err := os.ReadFile(filepath.Join(dir, ka+".stg"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := os.WriteFile(filepath.Join(dir, kb+stgSuffix), blob, 0o644); err != nil {
+	if err := os.WriteFile(filepath.Join(dir, kb+".stg"), blob, 0o644); err != nil {
 		t.Fatal(err)
 	}
 	c2, err := New(Options{Dir: dir})
@@ -236,24 +235,5 @@ func TestMetricsCounting(t *testing.T) {
 	}
 	if m.Entries.Value() != 1 {
 		t.Fatalf("entries gauge = %d", m.Entries.Value())
-	}
-}
-
-func TestEnvelopeRoundTrip(t *testing.T) {
-	k := key("env")
-	payload := bytes.Repeat([]byte{0xAB, 0, 0xCD}, 1000)
-	blob := encodeEnvelope(k, payload)
-	got, err := decodeEnvelope(blob, k)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got, payload) {
-		t.Fatal("payload mismatch after envelope round trip")
-	}
-	// Every truncation must fail verification, never mis-decode.
-	for cut := 0; cut < len(blob); cut += 97 {
-		if _, err := decodeEnvelope(blob[:cut], k); err == nil {
-			t.Fatalf("truncated envelope at %d decoded", cut)
-		}
 	}
 }

@@ -1,6 +1,7 @@
 package table
 
 import (
+	"errors"
 	"fmt"
 	"sync"
 )
@@ -56,8 +57,8 @@ type Batches[T any] struct {
 	opt   Options
 	total int
 
-	mu      sync.Mutex
-	batches []batch[T]
+	mu       sync.Mutex
+	batches  []batch[T]
 	resident int // count of batches with cols != nil
 
 	// rebuild recomputes rows [lo, hi) into a fresh Columns when a
@@ -194,7 +195,8 @@ func (t *Batches[T]) materializeLocked(bi int) (Columns[T], error) {
 	cols := t.codec.NewColumns()
 	err := readSpill(spillPath(t.opt.SpillDir, bi), cols)
 	if err != nil {
-		if _, corrupt := err.(*corruptSpillError); !corrupt || t.rebuild == nil {
+		var corrupt *IntegrityError
+		if !errors.As(err, &corrupt) || t.rebuild == nil {
 			return nil, err
 		}
 		// Corrupt spill: recompute deterministically and rewrite the
@@ -251,13 +253,13 @@ type batchScanner[T any] struct {
 	t   *Batches[T]
 	pos int // next global row to deliver
 	hi  int
-	bi  int        // current batch index, -1 before first Scan
-	off int        // global row index of batches[bi][0]
-	i   int        // index within current batch of the current row
+	bi  int // current batch index, -1 before first Scan
+	off int // global row index of batches[bi][0]
+	i   int // index within current batch of the current row
 	cur Columns[T]
 	err error
 
-	prefetchBi int                 // batch index the prefetch targets, 0 = none
+	prefetchBi int // batch index the prefetch targets, 0 = none
 	prefetchCh chan prefetched[T]
 }
 

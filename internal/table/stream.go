@@ -1,9 +1,6 @@
 package table
 
 import (
-	"bufio"
-	"bytes"
-	"crypto/sha256"
 	"fmt"
 	"io"
 )
@@ -17,10 +14,10 @@ import (
 // and checksum-verifies it, and a corrupted or truncated body surfaces
 // as *IntegrityError — never as silently wrong rows.
 
-// IntegrityError marks a stream whose envelope failed verification
-// (bad magic, truncation, checksum or row-count mismatch). Callers use
-// it to distinguish "peer sent damaged bytes — recompute locally" from
-// plain transport errors.
+// IntegrityError marks an envelope that failed verification (bad
+// magic, truncation, checksum or row-count mismatch), on a stream or in
+// a spill file. Callers use it to distinguish "damaged bytes —
+// recompute locally" from plain transport and I/O errors.
 type IntegrityError struct {
 	Reason string
 }
@@ -43,67 +40,16 @@ func EncodeStream[T any](w io.Writer, codec Codec[T], t Table[T]) error {
 	if err := sc.Err(); err != nil {
 		return fmt.Errorf("table: encode stream scan: %w", err)
 	}
-	var payload bytes.Buffer
-	ew := NewWriter(&payload)
-	if err := cols.EncodeTo(ew); err != nil {
-		return fmt.Errorf("table: encode stream: %w", err)
-	}
-	if err := ew.Err(); err != nil {
-		return fmt.Errorf("table: encode stream: %w", err)
-	}
-	sum := sha256.Sum256(payload.Bytes())
-
-	hw := NewWriter(w)
-	hw.Bytes([]byte(spillMagic))
-	hw.Uvarint(uint64(cols.Len()))
-	hw.Uvarint(uint64(payload.Len()))
-	hw.Bytes(sum[:])
-	hw.Bytes(payload.Bytes())
-	return hw.Err()
+	return encodeEnvelope(w, cols)
 }
 
 // DecodeStream reads one EncodeStream envelope from r, verifies it, and
 // returns the decoded rows as a resident table. Integrity failures
 // return *IntegrityError.
 func DecodeStream[T any](r io.Reader, codec Codec[T]) (Table[T], error) {
-	br := bufio.NewReaderSize(r, 64*1024)
-	magic := make([]byte, len(spillMagic))
-	if _, err := io.ReadFull(br, magic); err != nil {
-		return nil, &IntegrityError{Reason: "short magic"}
-	}
-	if string(magic) != spillMagic {
-		return nil, &IntegrityError{Reason: "bad magic"}
-	}
-	hr := NewReader(br)
-	rows := hr.Uvarint()
-	paylen := hr.Uvarint()
-	if err := hr.Err(); err != nil {
-		return nil, &IntegrityError{Reason: "truncated header"}
-	}
-	if paylen > 1<<31 {
-		return nil, &IntegrityError{Reason: "payload length out of range"}
-	}
-	var sum [sha256.Size]byte
-	if _, err := io.ReadFull(br, sum[:]); err != nil {
-		return nil, &IntegrityError{Reason: "short checksum"}
-	}
-	payload := make([]byte, paylen)
-	if _, err := io.ReadFull(br, payload); err != nil {
-		return nil, &IntegrityError{Reason: "short payload"}
-	}
-	if got := sha256.Sum256(payload); got != sum {
-		return nil, &IntegrityError{Reason: "checksum mismatch"}
-	}
 	cols := codec.NewColumns()
-	pr := NewReader(bytes.NewReader(payload))
-	if err := cols.DecodeFrom(pr); err != nil {
-		return nil, &IntegrityError{Reason: fmt.Sprintf("decode: %v", err)}
-	}
-	if err := pr.Err(); err != nil {
-		return nil, &IntegrityError{Reason: fmt.Sprintf("decode: %v", err)}
-	}
-	if cols.Len() != int(rows) {
-		return nil, &IntegrityError{Reason: fmt.Sprintf("row count %d, header says %d", cols.Len(), rows)}
+	if err := decodeEnvelope(r, cols); err != nil {
+		return nil, err
 	}
 	return FromColumns(codec, cols), nil
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"reflect"
+	"runtime"
 	"testing"
 )
 
@@ -120,5 +121,30 @@ func TestFromColumnsSharding(t *testing.T) {
 		if !reflect.DeepEqual(out, rows) {
 			t.Fatalf("shard total %d: reassembled rows differ", total)
 		}
+	}
+}
+
+// TestStreamLyingLengthBoundedAlloc: a 54-byte stream whose header
+// claims a 2 GiB payload must fail as an integrity error without the
+// decoder allocating anything near the claimed size first.
+func TestStreamLyingLengthBoundedAlloc(t *testing.T) {
+	body := []byte(spillMagic)
+	body = append(body, 1)                            // rows
+	body = append(body, 0x80, 0x80, 0x80, 0x80, 0x08) // paylen = 1<<31
+	body = append(body, make([]byte, 32)...)          // checksum
+	body = append(body, "short"...)                   // 5 of 2^31 payload bytes
+	if len(body) != 54 {
+		t.Fatalf("stream is %d bytes, want 54", len(body))
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := DecodeStream[testRow](bytes.NewReader(body), testCodec{})
+	runtime.ReadMemStats(&after)
+	var ie *IntegrityError
+	if !errors.As(err, &ie) {
+		t.Fatalf("err = %v, want *IntegrityError", err)
+	}
+	if grew := after.TotalAlloc - before.TotalAlloc; grew >= 4<<20 {
+		t.Fatalf("decoding 54 bytes allocated %d bytes", grew)
 	}
 }

@@ -27,11 +27,11 @@ type JobColumns struct {
 	states    []uint32
 	languages []uint32
 
-	userDict Dict
-	acctDict Dict
-	partDict Dict
+	userDict  Dict
+	acctDict  Dict
+	partDict  Dict
 	stateDict Dict
-	langDict Dict
+	langDict  Dict
 }
 
 // Dict aliases table.Dict so trace callers don't import table for it.
