@@ -4,6 +4,11 @@ package rcpt
 // plus the three design-choice ablations from DESIGN.md. The per-
 // experiment benches measure the render path over a shared study run;
 // the ablations measure the underlying computation choices.
+//
+// Experiment.Table is memoized per run, so the table benches drop the
+// run's memoized tables each iteration: they time the build, not a
+// cache hit. The shared aggregates (tabulations, job summaries) stay
+// cached across iterations, as they do across tables in a real render.
 
 import (
 	"context"
@@ -60,6 +65,7 @@ func benchExperiment(b *testing.B, id string) {
 	for i := 0; i < b.N; i++ {
 		switch e.Kind {
 		case KindTable:
+			a.ResetTables()
 			tab, err := e.Table(a)
 			if err != nil {
 				b.Fatal(err)

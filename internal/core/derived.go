@@ -7,10 +7,16 @@ package core
 // sim-year co-load matrix. Computing those once and caching them keeps
 // the render path O(outputs), not O(outputs × scans).
 //
+// The tables themselves are memoized the same way. A table is a pure
+// function of the Artifacts, and every table is rendered in four
+// formats (json, txt, csv, md), so each registry builder is wrapped by
+// memoTable and runs at most once per Artifacts: the formats, and any
+// concurrent requests for the same run, share one *report.Table.
+//
 // All cached values are computed on first use, guarded by a sync.Once
 // (or a mutex for keyed families), and safe for concurrent renderers.
-// Callers must treat returned slices and maps as read-only; they are
-// shared across every subsequent caller.
+// Callers must treat returned slices, maps and tables as read-only;
+// they are shared across every subsequent caller.
 
 import (
 	"fmt"
@@ -19,6 +25,7 @@ import (
 
 	"repro/internal/modlog"
 	"repro/internal/population"
+	"repro/internal/report"
 	"repro/internal/survey"
 	"repro/internal/table"
 	"repro/internal/trace"
@@ -45,6 +52,16 @@ type derivations struct {
 	panelW1       []*survey.Response
 	panelW2       []*survey.Response
 	panelWavesErr error
+
+	tablesMu sync.Mutex
+	tables   map[string]*tableMemo
+}
+
+// tableMemo is one experiment's table for one run.
+type tableMemo struct {
+	once sync.Once
+	tab  *report.Table
+	err  error
 }
 
 type tabKey struct {
@@ -167,4 +184,46 @@ func (a *Artifacts) PanelWaves() (w1, w2 []*survey.Response, err error) {
 		a.derived.panelW2 = population.Wave2Responses(a.Panel)
 	})
 	return a.derived.panelW1, a.derived.panelW2, a.derived.panelWavesErr
+}
+
+// memoTable wraps a table builder so it runs at most once per
+// Artifacts, keyed by experiment ID. Concurrent callers for the same
+// run block on the one build and then share its table (read-only).
+func memoTable(id string, build func(*Artifacts) (*report.Table, error)) func(*Artifacts) (*report.Table, error) {
+	return func(a *Artifacts) (*report.Table, error) {
+		a.derived.tablesMu.Lock()
+		m, ok := a.derived.tables[id]
+		if !ok {
+			if a.derived.tables == nil {
+				a.derived.tables = map[string]*tableMemo{}
+			}
+			m = &tableMemo{}
+			a.derived.tables[id] = m
+		}
+		a.derived.tablesMu.Unlock()
+		m.once.Do(func() { m.tab, m.err = buildTable(id, build, a) })
+		return m.tab, m.err
+	}
+}
+
+// buildTable runs one builder for memoTable. sync.Once counts a
+// panicking call as done, so a panic becomes the stored error: no later
+// caller sees a nil table with a nil error.
+func buildTable(id string, build func(*Artifacts) (*report.Table, error), a *Artifacts) (tab *report.Table, err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			tab, err = nil, fmt.Errorf("core: building %s panicked: %v", id, r)
+		}
+	}()
+	return build(a)
+}
+
+// ResetTables drops a's memoized tables, so the next Experiment.Table
+// call on a rebuilds them. It exists for benchmarks that time a table
+// build on one shared run; the other derivations stay cached. It must
+// not run concurrently with renders of a.
+func (a *Artifacts) ResetTables() {
+	a.derived.tablesMu.Lock()
+	a.derived.tables = nil
+	a.derived.tablesMu.Unlock()
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"slices"
 	"sort"
 
 	"repro/internal/modlog"
@@ -30,7 +31,9 @@ type Experiment struct {
 	ID    string // e.g. "T2", "F3"
 	Title string
 	Kind  Kind
-	// Table builds the table from a completed run.
+	// Table builds the table from a completed run. For registry
+	// entries it is memoized: it builds at most once per Artifacts and
+	// every call returns the same table, which callers must not modify.
 	Table func(a *Artifacts) (*report.Table, error)
 	// Figure renders SVG from a completed run.
 	Figure func(a *Artifacts, w io.Writer) error
@@ -44,9 +47,18 @@ func (e Experiment) Filename() string {
 	return "figure" + e.ID[1:]
 }
 
+// registry is every experiment in presentation order, built once. Each
+// table builder is wrapped by memoTable here, so Lookup and Registry
+// hand out the memoized builders without allocating per call.
+var registry = memoizeTables(experiments())
+
 // Registry returns every experiment in presentation order. The IDs match
-// DESIGN.md's reconstructed evaluation index.
-func Registry() []Experiment {
+// DESIGN.md's reconstructed evaluation index. The slice is a copy;
+// changing it does not change the registry.
+func Registry() []Experiment { return slices.Clone(registry) }
+
+// experiments lists every experiment with its unwrapped builders.
+func experiments() []Experiment {
 	return append([]Experiment{
 		{ID: "T1", Title: "Respondent demographics by field and career stage", Kind: KindTable, Table: table1},
 		{ID: "T2", Title: "Programming-language usage by cohort", Kind: KindTable, Table: table2},
@@ -66,6 +78,16 @@ func Registry() []Experiment {
 	}, concatExperiments(extensionExperiments(), panelExperiments(), qualityExperiments(), textExperiments(), modelComparisonExperiments(), concentrationExperiments(), sweepExperiments(), waitBoxExperiments())...)
 }
 
+// memoizeTables wraps every table builder in exps with memoTable.
+func memoizeTables(exps []Experiment) []Experiment {
+	for i := range exps {
+		if exps[i].Table != nil {
+			exps[i].Table = memoTable(exps[i].ID, exps[i].Table)
+		}
+	}
+	return exps
+}
+
 // concatExperiments flattens experiment groups.
 func concatExperiments(groups ...[]Experiment) []Experiment {
 	var out []Experiment
@@ -75,11 +97,12 @@ func concatExperiments(groups ...[]Experiment) []Experiment {
 	return out
 }
 
-// Lookup returns the experiment with the given ID.
+// Lookup returns the experiment with the given ID. It scans the
+// registry in place and does not allocate on a hit.
 func Lookup(id string) (Experiment, error) {
-	for _, e := range Registry() {
-		if e.ID == id {
-			return e, nil
+	for i := range registry {
+		if registry[i].ID == id {
+			return registry[i], nil
 		}
 	}
 	return Experiment{}, fmt.Errorf("core: unknown experiment %q", id)

@@ -17,11 +17,11 @@
 package rcpt
 
 import (
+	"bytes"
 	"fmt"
 	"io"
 	"os"
 	"path/filepath"
-	"strings"
 
 	"repro/internal/core"
 	"repro/internal/report"
@@ -104,14 +104,17 @@ func WriteAll(a *Artifacts, dir string) ([]string, error) {
 			if err != nil {
 				return nil, fmt.Errorf("rcpt: experiment %s: %w", e.ID, err)
 			}
-			if err := write(e.Filename()+".txt", tab.WriteASCII); err != nil {
+			var txt bytes.Buffer
+			if err := tab.WriteASCII(&txt); err != nil {
+				return nil, fmt.Errorf("rcpt: rendering %s: %w", e.ID, err)
+			}
+			if err := write(e.Filename()+".txt", func(w io.Writer) error {
+				_, err := w.Write(txt.Bytes())
+				return err
+			}); err != nil {
 				return nil, err
 			}
 			if err := write(e.Filename()+".csv", tab.WriteCSV); err != nil {
-				return nil, err
-			}
-			var txt strings.Builder
-			if err := tab.WriteASCII(&txt); err != nil {
 				return nil, err
 			}
 			index = append(index, report.IndexEntry{

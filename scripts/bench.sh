@@ -9,6 +9,9 @@
 # oracle so the optimized-vs-naive speedup is recorded in the same file.
 # -benchmem is always on: bytes_per_op/allocs_per_op in the JSON carry
 # the slice-vs-columnar memory comparison (BenchmarkSimulateFeed10x).
+# BenchmarkRenderAllBodies records the cold render of one run (every
+# table in four formats, every figure) beside the pipeline's own cost
+# (BenchmarkFullPipeline): together they are a study's critical path.
 #
 # A second file, BENCH_incr.json, records the Merkle stage cache:
 # cold (fill) vs warm (restore every stage) vs policy-change (one
@@ -27,6 +30,7 @@ go build -o /tmp/rcpt-bench ./cmd/rcpt-bench
 {
   go test -run '^$' -bench 'BenchmarkSimulate' -benchmem -benchtime "$BENCHTIME" -count "$COUNT" ./internal/sched/
   go test -run '^$' -bench 'BenchmarkFullPipeline$' -benchmem -benchtime "$BENCHTIME" -count "$COUNT" .
+  go test -run '^$' -bench 'BenchmarkRenderAllBodies$' -benchmem -benchtime "$BENCHTIME" -count "$COUNT" ./internal/core/
 } | tee /dev/stderr | /tmp/rcpt-bench -benchtime "$BENCHTIME" -count "$COUNT" -out "$OUT"
 echo "wrote $OUT" >&2
 
