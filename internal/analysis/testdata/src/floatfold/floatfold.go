@@ -43,6 +43,37 @@ func mutexSum(parts [][]float64) float64 {
 	return sum
 }
 
+// taskPool hands each submitted task down a channel to a worker
+// goroutine, so tasks run concurrently with their submitter.
+type taskPool struct {
+	tasks chan func() error
+	done  chan error
+}
+
+func newTaskPool() *taskPool {
+	p := &taskPool{tasks: make(chan func() error), done: make(chan error, 1)}
+	go func() {
+		var err error
+		for t := range p.tasks {
+			if terr := t(); terr != nil && err == nil {
+				err = terr
+			}
+		}
+		p.done <- err
+	}()
+	return p
+}
+
+func (p *taskPool) Submit(t func() error) error {
+	p.tasks <- t
+	return nil
+}
+
+func (p *taskPool) Close() error {
+	close(p.tasks)
+	return <-p.done
+}
+
 // poolAppend collects float results from pool tasks in completion order;
 // any later non-commutative fold inherits that order.
 func poolAppend(parts []float64) ([]float64, error) {
@@ -50,7 +81,7 @@ func poolAppend(parts []float64) ([]float64, error) {
 		mu  sync.Mutex
 		out []float64
 	)
-	pool := parallel.NewPool(2, 4)
+	pool := newTaskPool()
 	for _, p := range parts {
 		p := p
 		if err := pool.Submit(func() error {

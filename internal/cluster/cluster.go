@@ -44,9 +44,7 @@ import (
 	"time"
 
 	"repro/internal/breaker"
-	"repro/internal/core"
 	"repro/internal/obs"
-	"repro/internal/trace"
 )
 
 // epochGaugeMask truncates the 64-bit content-derived epoch to 53 bits
@@ -110,13 +108,6 @@ type Options struct {
 	// Now injects the clock for breakers, leases, and suspicion
 	// timeouts. Nil uses time.Now.
 	Now func() time.Time
-	// LocalStage computes one (year, rep) trace stage in-process; it is
-	// the compute behind both the dispatch fallback and peer-served
-	// steals. Nil uses core.TraceReplicaTable directly. The serving
-	// layer installs a stage-cache-aware implementation here so a steal
-	// or fallback answered from cache costs a decode, not a generation —
-	// the bytes are identical either way.
-	LocalStage func(cfg core.Config, year, rep int) (trace.JobTable, error)
 }
 
 func (o Options) withDefaults() Options {
@@ -155,9 +146,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.Now == nil {
 		o.Now = time.Now
-	}
-	if o.LocalStage == nil {
-		o.LocalStage = core.TraceReplicaTable
 	}
 	return o
 }

@@ -10,21 +10,24 @@ import (
 
 // Work-stealing stage dispatch. The replica executing a pipeline run
 // installs TraceStage as core.RunOptions.TraceStage, so every
-// per-(year, replica) trace stage becomes a dispatch decision: run it
-// here, or ship (cfg, year, rep) to the least-loaded healthy peer and
-// stream the resulting table back. The stage graph itself is untouched
-// — repTables slots and the fixed year/replica/shard merge order make
-// reassembly deterministic no matter which mix of local and remote
-// executions filled them — and every remote fault degrades to local
-// recompute, so distribution can only ever change latency, not bytes.
+// per-(year, replica) trace stage that misses the stage cache becomes a
+// dispatch decision: run it here, or ship (cfg, year, rep) to the
+// least-loaded healthy peer and stream the resulting table back. The
+// hook only picks where a stage runs; core's stage cache, which wraps
+// it, is the only place a stage output is looked up or stored. The
+// stage graph itself is untouched — repTables slots and the fixed
+// year/replica/shard merge order make reassembly deterministic no
+// matter which mix of local and remote executions filled them — and
+// every remote fault degrades to local recompute, so distribution can
+// only ever change latency, not bytes.
 
 // TraceStage computes one (year, rep) trace stage, remotely when a
-// peer has spare capacity, locally otherwise. It satisfies
-// core.RunOptions.TraceStage.
-func (c *Cluster) TraceStage(ctx context.Context, cfg core.Config, year, rep int) (trace.JobTable, error) {
+// peer has spare capacity, otherwise by calling local, the in-process
+// generator. It satisfies core.RunOptions.TraceStage.
+func (c *Cluster) TraceStage(ctx context.Context, cfg core.Config, year, rep int, local func() (trace.JobTable, error)) (trace.JobTable, error) {
 	target := c.stealTarget()
 	if target == nil {
-		return c.localStage(cfg, year, rep)
+		return c.localStage(local)
 	}
 	stage := core.TraceStageName(year, rep)
 	target.inflight.Add(1)
@@ -43,20 +46,20 @@ func (c *Cluster) TraceStage(ctx context.Context, cfg core.Config, year, rep int
 	c.reportFailure(target, err)
 	c.steals.With("fallback").Inc()
 	rerr := &RemoteStageError{Peer: target.name, Stage: stage, Attempt: 1, Err: err}
-	tab, lerr := c.localStage(cfg, year, rep)
+	tab, lerr := c.localStage(local)
 	if lerr != nil {
 		return nil, fmt.Errorf("local recompute failed: %w; after remote failure: %w", lerr, rerr)
 	}
 	return tab, nil
 }
 
-// localStage computes the stage in-process, tracking self load so the
+// localStage runs the stage in-process, tracking self load so the
 // target choice sees local work too.
-func (c *Cluster) localStage(cfg core.Config, year, rep int) (trace.JobTable, error) {
+func (c *Cluster) localStage(local func() (trace.JobTable, error)) (trace.JobTable, error) {
 	c.selfInflight.Add(1)
 	defer c.selfInflight.Add(-1)
 	c.steals.With("local").Inc()
-	return c.opts.LocalStage(cfg, year, rep)
+	return local()
 }
 
 // remoteStage ships one stage to peer. Execution knobs are stripped

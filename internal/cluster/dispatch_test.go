@@ -94,6 +94,11 @@ func testCluster(t *testing.T, peerURL string) *Cluster {
 	return c
 }
 
+// localOf is the in-process compute a pipeline run hands TraceStage.
+func localOf(cfg core.Config, year, rep int) func() (trace.JobTable, error) {
+	return func() (trace.JobTable, error) { return core.TraceReplicaTable(cfg, year, rep) }
+}
+
 func jobRowsOf(t *testing.T, tab trace.JobTable) []trace.Job {
 	t.Helper()
 	rows, err := table.Rows[trace.Job](tab)
@@ -115,7 +120,7 @@ func TestTraceStageRemoteMatchesLocal(t *testing.T) {
 	defer c.selfInflight.Add(-1)
 
 	cfg := tinyCfg()
-	got, err := c.TraceStage(context.Background(), cfg, 2012, 1)
+	got, err := c.TraceStage(context.Background(), cfg, 2012, 1, localOf(cfg, 2012, 1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -149,7 +154,7 @@ func TestTraceStagePeerDeadFallsBack(t *testing.T) {
 	defer c.selfInflight.Add(-1)
 
 	cfg := tinyCfg()
-	got, err := c.TraceStage(context.Background(), cfg, 2011, 0)
+	got, err := c.TraceStage(context.Background(), cfg, 2011, 0, localOf(cfg, 2011, 0))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -201,7 +206,7 @@ func TestTraceStageTruncatedBodyFallsBack(t *testing.T) {
 	defer c.selfInflight.Add(-1)
 
 	cfg := tinyCfg()
-	got, err := c.TraceStage(context.Background(), cfg, 2011, 1)
+	got, err := c.TraceStage(context.Background(), cfg, 2011, 1, localOf(cfg, 2011, 1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -246,7 +251,7 @@ func TestTraceStageHashMismatchRejected(t *testing.T) {
 	defer c.selfInflight.Add(-1)
 
 	cfg := tinyCfg()
-	if _, err := c.TraceStage(context.Background(), cfg, 2011, 0); err != nil {
+	if _, err := c.TraceStage(context.Background(), cfg, 2011, 0, localOf(cfg, 2011, 0)); err != nil {
 		t.Fatal(err) // fallback must succeed silently
 	}
 	if v := c.peerFills.With("integrity").Value(); v != 0 {
@@ -268,7 +273,7 @@ func TestRemoteStageErrorSurfaces(t *testing.T) {
 	c.selfInflight.Add(1)
 	defer c.selfInflight.Add(-1)
 
-	_, err := c.TraceStage(context.Background(), tinyCfg(), 1999, 0)
+	_, err := c.TraceStage(context.Background(), tinyCfg(), 1999, 0, localOf(tinyCfg(), 1999, 0))
 	if err == nil {
 		t.Fatal("stage for an out-of-graph year succeeded")
 	}
@@ -295,7 +300,7 @@ func TestRemoteStageErrorThroughGraph(t *testing.T) {
 
 	g := parallel.NewGraph()
 	g.Add("trace-1999", func() error {
-		_, err := c.TraceStage(context.Background(), tinyCfg(), 1999, 0)
+		_, err := c.TraceStage(context.Background(), tinyCfg(), 1999, 0, localOf(tinyCfg(), 1999, 0))
 		return err
 	})
 	err := g.Run(2)

@@ -224,25 +224,10 @@ func Run(cfg Config) (*Artifacts, error) {
 	return RunWithOptions(context.Background(), cfg, RunOptions{})
 }
 
-// RunContext is Run with external cancellation: once ctx is done no new
-// stage starts and ctx.Err() is returned (a stage error that happened
-// first wins). In-flight stages are awaited before return — a cancelled
-// run never strands goroutines.
-func RunContext(ctx context.Context, cfg Config) (*Artifacts, error) {
-	return RunWithOptions(ctx, cfg, RunOptions{})
-}
-
 // StageObserver receives per-stage wall-clock timings from a run. It is
 // telemetry only (the serving layer feeds it into a metrics histogram)
 // and may be called concurrently.
 type StageObserver func(stage string, seconds float64)
-
-// RunObserved is Run with a per-stage timing hook. The observer must
-// not influence behaviour: artifacts stay byte-identical whether or not
-// one is installed.
-func RunObserved(cfg Config, obs StageObserver) (*Artifacts, error) {
-	return RunWithOptions(context.Background(), cfg, RunOptions{Observer: obs})
-}
 
 // RunSequential executes the same stage graph one stage at a time, in a
 // deterministic topological order. It is the reference implementation
@@ -273,18 +258,21 @@ type RunOptions struct {
 	// therefore artifacts — are deterministic for any worker count.
 	Retry parallel.RetryPolicy
 
-	// TraceStage, when set, computes the (year, rep) trace stages instead
-	// of the in-process generator. It is the distribution seam: the
-	// cluster layer installs a dispatcher here that steals stage work to
-	// peer replicas and falls back to local compute on any fault. The
-	// contract is strict — the returned table must hold exactly the rows
-	// TraceReplicaTable(cfg, year, rep) would produce (the checksummed
-	// stream envelope enforces transfer integrity; the determinism
-	// contract guarantees any compliant peer produces the same bytes), so
-	// installing a hook can change where work runs but never what the
-	// artifacts contain. A hook error fails the stage like any local
-	// error: it surfaces as a *parallel.StageError for that stage.
-	TraceStage func(ctx context.Context, cfg Config, year, rep int) (trace.JobTable, error)
+	// TraceStage, when set, decides where each (year, rep) trace stage
+	// runs. It is the distribution seam: the cluster layer installs a
+	// dispatcher here that steals stage work to peer replicas and falls
+	// back to local compute on any fault. It is called inside the
+	// stage-cache-wrapped body, so only on a miss, and either returns a
+	// table computed elsewhere or calls local, the in-process generator.
+	// The contract is strict — a table not from local must hold exactly
+	// the rows TraceReplicaTable(cfg, year, rep) would produce (the
+	// checksummed stream envelope enforces transfer integrity; the
+	// determinism contract guarantees any compliant peer produces the
+	// same bytes), so installing a hook can change where work runs but
+	// never what the artifacts contain. A hook error fails the stage like
+	// any local error: it surfaces as a *parallel.StageError for that
+	// stage.
+	TraceStage func(ctx context.Context, cfg Config, year, rep int, local func() (trace.JobTable, error)) (trace.JobTable, error)
 
 	// StageCache, when set, lets stages reuse outputs across runs by
 	// Merkle-derived content key (see stagecache.go): a stage whose key
@@ -301,7 +289,10 @@ type RunOptions struct {
 
 // RunWithOptions executes the pipeline under ctx with the given
 // resilience options. Artifacts are byte-identical to Run for any
-// worker count and any retry/fault outcome that ends in success.
+// worker count and any retry/fault outcome that ends in success. Once
+// ctx is done no new stage starts and ctx.Err() is returned (a stage
+// error that happened first wins); in-flight stages are awaited before
+// return, so a cancelled run never strands goroutines.
 func RunWithOptions(ctx context.Context, cfg Config, opts RunOptions) (*Artifacts, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -369,7 +360,7 @@ func RunWithOptions(ctx context.Context, cfg Config, opts RunOptions) (*Artifact
 // order guarantees upstream keys exist — and has its body wrapped into
 // load-or-(compute-and-store). jobs-merge is deliberately uncached: it
 // is pure wiring over tables the trace stages already provide.
-func buildGraph(ctx context.Context, cfg Config, a *Artifacts, traceStage func(context.Context, Config, int, int) (trace.JobTable, error), sc *stageCacher) (*parallel.Graph, error) {
+func buildGraph(ctx context.Context, cfg Config, a *Artifacts, traceStage traceStageHook, sc *stageCacher) (*parallel.Graph, error) {
 	root := rng.New(cfg.Seed)
 	g := parallel.NewGraph()
 
@@ -573,39 +564,7 @@ func buildGraph(ctx context.Context, cfg Config, a *Artifacts, traceStage func(c
 			if year == cfg.SimYear {
 				simStages = append(simStages, stage)
 			}
-			// newStream derives a fresh copy of this replica's stream on
-			// every call (SplitNamed is pure and never advances root), so
-			// the build and any later spill rebuild replay identical draws.
-			newStream := func() *rng.RNG { return root.SplitNamed(stage) }
-			// A trace stage's cache key excludes TraceScale by design:
-			// scaling up adds stages without renaming existing ones, so
-			// every replica a smaller scale cached keeps hitting. A cache
-			// hit also skips the traceStage steal hook — the bytes already
-			// exist locally, so no peer should compute them.
-			sc.derive(stage, verTrace, traceInputs(cfg))
-			g.AddRetryable(stage, sc.wrap(stage, func() error {
-				var tab trace.JobTable
-				var err error
-				if traceStage != nil {
-					tab, err = traceStage(ctx, cfg, year, rep)
-				} else {
-					tab, err = buildTraceReplica(cfg, newStream, year, rep)
-				}
-				if err != nil {
-					return fmt.Errorf("core: generating %s: %w", stage, err)
-				}
-				repTables[i][rep] = tab
-				return nil
-			},
-				func() ([]byte, error) { return EncodeTraceStagePayload(repTables[i][rep]) },
-				func(payload []byte) error {
-					tab, err := DecodeTraceStagePayload(payload)
-					if err != nil {
-						return err
-					}
-					repTables[i][rep] = tab
-					return nil
-				}))
+			g.AddRetryable(stage, traceStageBody(ctx, cfg, root, year, rep, traceStage, sc, &repTables[i][rep]))
 		}
 		modStages[i] = fmt.Sprintf("modlog-%d", year)
 		sc.derive(modStages[i], verModlog, modlogInputs(cfg))
@@ -804,6 +763,54 @@ func buildTraceReplica(cfg Config, newStream func() *rng.RNG, year, rep int) (*t
 // window has been recomputed.
 var errRebuildDone = errors.New("core: rebuild window complete")
 
+// traceStageHook is the type of RunOptions.TraceStage.
+type traceStageHook = func(ctx context.Context, cfg Config, year, rep int, local func() (trace.JobTable, error)) (trace.JobTable, error)
+
+// traceStageBody derives the (year, rep) trace stage's cache key and
+// returns its cache-wrapped body, which writes the stage's table to
+// *dst. On a miss, hook (when non-nil) decides where the stage runs: it
+// returns a table computed elsewhere or calls local, the in-process
+// generator. buildGraph registers this body and CachedTraceReplicaTable
+// runs it standalone, so the stage cache is looked up and filled in one
+// place however the stage was reached.
+//
+// A trace stage's cache key excludes TraceScale by design: scaling up
+// adds stages without renaming existing ones, so every replica a smaller
+// scale cached keeps hitting. A cache hit also skips the hook — the
+// bytes already exist locally, so no peer should compute them.
+func traceStageBody(ctx context.Context, cfg Config, root *rng.RNG, year, rep int, hook traceStageHook, sc *stageCacher, dst *trace.JobTable) func() error {
+	stage := traceStreamName(year, rep)
+	// newStream derives a fresh copy of this replica's stream on every
+	// call (SplitNamed is pure and never advances root), so the build and
+	// any later spill rebuild replay identical draws.
+	newStream := func() *rng.RNG { return root.SplitNamed(stage) }
+	local := func() (trace.JobTable, error) { return buildTraceReplica(cfg, newStream, year, rep) }
+	sc.derive(stage, verTrace, traceInputs(cfg))
+	return sc.wrap(stage, func() error {
+		var tab trace.JobTable
+		var err error
+		if hook != nil {
+			tab, err = hook(ctx, cfg, year, rep, local)
+		} else {
+			tab, err = local()
+		}
+		if err != nil {
+			return fmt.Errorf("core: generating %s: %w", stage, err)
+		}
+		*dst = tab
+		return nil
+	},
+		func() ([]byte, error) { return EncodeTraceStagePayload(*dst) },
+		func(payload []byte) error {
+			tab, err := DecodeTraceStagePayload(payload)
+			if err != nil {
+				return err
+			}
+			*dst = tab
+			return nil
+		})
+}
+
 // TraceReplicaTable computes one (year, rep) trace stage of cfg from
 // scratch, standalone: the rng stream is re-derived by name from
 // cfg.Seed exactly as the full pipeline derives it, so the result is
@@ -813,6 +820,16 @@ var errRebuildDone = errors.New("core: rebuild window complete")
 // from local compute, which is what lets the cluster layer treat remote
 // faults as a latency problem, never a correctness one.
 func TraceReplicaTable(cfg Config, year, rep int) (trace.JobTable, error) {
+	return CachedTraceReplicaTable(cfg, year, rep, nil)
+}
+
+// CachedTraceReplicaTable is TraceReplicaTable through the stage cache:
+// it runs the same cache-wrapped body the stage graph registers for the
+// (year, rep) trace stage, so a stage a run already stored is restored
+// instead of regenerated, and a fresh compute is stored under the key
+// the graph will look up. A nil cache computes from scratch. The
+// serving layer answers peer stage steals with it.
+func CachedTraceReplicaTable(cfg Config, year, rep int, cache StageCache) (trace.JobTable, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
@@ -829,10 +846,11 @@ func TraceReplicaTable(cfg Config, year, rep int) (trace.JobTable, error) {
 	if rep < 0 || rep >= cfg.traceScale() {
 		return nil, fmt.Errorf("core: replica %d out of range [0, %d)", rep, cfg.traceScale())
 	}
-	root := rng.New(cfg.Seed)
-	stage := traceStreamName(year, rep)
-	newStream := func() *rng.RNG { return root.SplitNamed(stage) }
-	return buildTraceReplica(cfg, newStream, year, rep)
+	var tab trace.JobTable
+	if err := traceStageBody(context.Background(), cfg, rng.New(cfg.Seed), year, rep, nil, newStageCacher(cache), &tab)(); err != nil {
+		return nil, err
+	}
+	return tab, nil
 }
 
 // concatJobTables joins a year's replica tables in replica order (a

@@ -13,7 +13,7 @@ import (
 func TestRunContextPreCancelled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := RunContext(ctx, equivConfig()); !errors.Is(err, context.Canceled) {
+	if _, err := RunWithOptions(ctx, equivConfig(), RunOptions{}); !errors.Is(err, context.Canceled) {
 		t.Fatalf("err=%v, want context.Canceled", err)
 	}
 }
@@ -22,7 +22,7 @@ func TestRunContextDeadline(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), time.Nanosecond)
 	defer cancel()
 	time.Sleep(time.Millisecond)
-	if _, err := RunContext(ctx, equivConfig()); !errors.Is(err, context.DeadlineExceeded) {
+	if _, err := RunWithOptions(ctx, equivConfig(), RunOptions{}); !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("err=%v, want context.DeadlineExceeded", err)
 	}
 }

@@ -225,18 +225,9 @@ func restorePayload(dec func([]byte) error, payload []byte) (err error) {
 	return dec(payload)
 }
 
-// TraceStageKey returns the stage-cache key of the (year, rep) trace
-// stage of cfg — the same key buildGraph derives for that stage. The
-// serving layer uses it so peer-served stage steals consult and fill
-// the stage cache: a steal answered from cache costs a disk read, not a
-// generation, and the bytes are identical either way.
-func TraceStageKey(cfg Config, year, rep int) string {
-	return deriveStageKey(traceStreamName(year, rep), verTrace, traceInputs(cfg), nil)
-}
-
 // EncodeTraceStagePayload frames one trace table as the stage-cache
 // payload the trace stages store — exported with DecodeTraceStagePayload
-// so the serving layer's peer-stage path shares the exact encoding.
+// so benchmarks outside core can time the exact encoding.
 func EncodeTraceStagePayload(tab trace.JobTable) ([]byte, error) {
 	return encodeTablePayload(payloadJobs, trace.JobCodec{}, tab)
 }

@@ -279,19 +279,60 @@ func TestStageCacheRealStoreEquivalence(t *testing.T) {
 	assertArtifactsEqual(t, "cold", "warm-from-disk", cold, warm)
 }
 
-// TestTraceStageKeyMatchesGraph pins the exported TraceStageKey to the
-// key buildGraph derives, which the peer-stage serving path depends on.
+// TestTraceStageKeyMatchesGraph pins CachedTraceReplicaTable — what a
+// peer-served steal executes — to the stage the graph registers: after
+// a run, a standalone (year, rep) trace stage loads exactly the key the
+// graph derived and stored, hits without storing again, and returns the
+// table a cache-less compute returns.
 func TestTraceStageKeyMatchesGraph(t *testing.T) {
 	cfg := equivConfig()
-	sc := newStageCacher(newMapStageCache())
-	keys := stageKeys(t, cfg, sc)
+	cfg.TraceScale = 2
+	cache := newMapStageCache()
+	runCached(t, cfg, cache)
+	keys := stageKeys(t, cfg, newStageCacher(newMapStageCache()))
 	for _, year := range cfg.TraceYears {
-		name := TraceStageName(year, 0)
-		if keys[name] == "" {
-			t.Fatalf("no graph key for %s", name)
-		}
-		if got := TraceStageKey(cfg, year, 0); got != keys[name] {
-			t.Fatalf("TraceStageKey(%d, 0) = %s, graph derived %s", year, got, keys[name])
+		for rep := 0; rep < cfg.TraceScale; rep++ {
+			name := TraceStageName(year, rep)
+			rec := &loadLog{StageCache: cache}
+			_, hits, stores, _ := cache.stats()
+			got, err := CachedTraceReplicaTable(cfg, year, rep, rec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			_, hits2, stores2, _ := cache.stats()
+			if len(rec.keys) != 1 || rec.keys[0] != keys[name] || keys[name] == "" {
+				t.Fatalf("%s loaded keys %v, graph derived %q", name, rec.keys, keys[name])
+			}
+			if hits2 != hits+1 || stores2 != stores {
+				t.Fatalf("%s after a run: hits %d->%d, stores %d->%d, want one hit and no store",
+					name, hits, hits2, stores, stores2)
+			}
+			want, err := TraceReplicaTable(cfg, year, rep)
+			if err != nil {
+				t.Fatal(err)
+			}
+			gh, err := got.Hash()
+			if err != nil {
+				t.Fatal(err)
+			}
+			wh, err := want.Hash()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if gh != wh {
+				t.Fatalf("%s: cache-served table hash %x, cache-less compute %x", name, gh, wh)
+			}
 		}
 	}
+}
+
+// loadLog records the keys a StageCache is asked to load.
+type loadLog struct {
+	StageCache
+	keys []string
+}
+
+func (l *loadLog) Load(key string) ([]byte, bool) {
+	l.keys = append(l.keys, key)
+	return l.StageCache.Load(key)
 }

@@ -43,11 +43,6 @@ const (
 	payloadSim       = "rcpt-stage-sim/1"
 )
 
-// maxStageItems bounds any decoded count before allocation: no stage
-// output in any plausible configuration approaches it, so a larger
-// value can only be a damaged or hostile payload.
-const maxStageItems = 1 << 28
-
 // checkMagic consumes and verifies the payload's kind marker.
 func checkMagic(r *table.Reader, want string) error {
 	got := r.String()
@@ -60,14 +55,30 @@ func checkMagic(r *table.Reader, want string) error {
 	return nil
 }
 
-// readCount reads a length-prefix and sanity-bounds it.
-func readCount(r *table.Reader, what string) (int, error) {
+// payloadReader reads one in-memory stage payload. It knows how many
+// bytes are left, so a count can be checked before anything is sized
+// by it: items of minBytes wire bytes each cannot number more than the
+// remaining bytes hold, and a larger count can only be a damaged or
+// hostile payload. Decoders presize from checked counts only, so what
+// they allocate stays within a small multiple of the payload's length.
+type payloadReader struct {
+	*table.Reader
+	src *bytes.Reader
+}
+
+func newPayloadReader(payload []byte) *payloadReader {
+	src := bytes.NewReader(payload)
+	return &payloadReader{Reader: table.NewReader(src), src: src}
+}
+
+// count reads a length prefix for items of at least minBytes each.
+func (r *payloadReader) count(what string, minBytes int) (int, error) {
 	n := r.Uvarint()
 	if err := r.Err(); err != nil {
 		return 0, fmt.Errorf("core: stage payload %s count: %w", what, err)
 	}
-	if n > maxStageItems {
-		return 0, fmt.Errorf("core: stage payload %s count %d out of range", what, n)
+	if left := r.src.Len(); n > uint64(left/minBytes) {
+		return 0, fmt.Errorf("core: stage payload %s count %d exceeds the %d bytes left", what, n, left)
 	}
 	return int(n), nil
 }
@@ -156,8 +167,8 @@ func writeEmptyChoices(w *table.Writer, vals []survey.Response) {
 
 // applyEmptyChoices reverses writeEmptyChoices over freshly
 // materialized responses.
-func applyEmptyChoices(r *table.Reader, rs []*survey.Response) error {
-	n, err := readCount(r, "empty-choice")
+func applyEmptyChoices(r *payloadReader, rs []*survey.Response) error {
+	n, err := r.count("empty-choice", 2)
 	if err != nil {
 		return err
 	}
@@ -217,11 +228,11 @@ func encodeCohortPayload(rs []*survey.Response, qr survey.QualityReport) ([]byte
 
 func decodeCohortPayload(payload []byte) ([]*survey.Response, survey.QualityReport, error) {
 	var qr survey.QualityReport
-	r := table.NewReader(bytes.NewReader(payload))
-	if err := checkMagic(r, payloadCohort); err != nil {
+	r := newPayloadReader(payload)
+	if err := checkMagic(r.Reader, payloadCohort); err != nil {
 		return nil, qr, err
 	}
-	tab, err := decodeTableBlock(r, survey.ResponseCodec{})
+	tab, err := decodeTableBlock(r.Reader, survey.ResponseCodec{})
 	if err != nil {
 		return nil, qr, err
 	}
@@ -232,7 +243,7 @@ func decodeCohortPayload(payload []byte) ([]*survey.Response, survey.QualityRepo
 	if err := applyEmptyChoices(r, rs); err != nil {
 		return nil, qr, err
 	}
-	nf, err := readCount(r, "flag")
+	nf, err := r.count("flag", 4)
 	if err != nil {
 		return nil, qr, err
 	}
@@ -247,7 +258,7 @@ func decodeCohortPayload(payload []byte) ([]*survey.Response, survey.QualityRepo
 			}
 		}
 	}
-	nh, err := readCount(r, "hard ID")
+	nh, err := r.count("hard ID", 1)
 	if err != nil {
 		return nil, qr, err
 	}
@@ -300,8 +311,8 @@ func encodeRakePayload(res weighting.Result, cohort []*survey.Response) ([]byte,
 
 func decodeRakePayload(payload []byte) (weighting.Result, []float64, error) {
 	var res weighting.Result
-	r := table.NewReader(bytes.NewReader(payload))
-	if err := checkMagic(r, payloadRake); err != nil {
+	r := newPayloadReader(payload)
+	if err := checkMagic(r.Reader, payloadRake); err != nil {
 		return res, nil, err
 	}
 	res.Iterations = int(r.Varint())
@@ -311,7 +322,7 @@ func decodeRakePayload(payload []byte) (weighting.Result, []float64, error) {
 	res.DesignEffect = r.Float64()
 	res.MinWeight = r.Float64()
 	res.MaxWeight = r.Float64()
-	nt, err := readCount(r, "deviation trace")
+	nt, err := r.count("deviation trace", 8)
 	if err != nil {
 		return res, nil, err
 	}
@@ -321,7 +332,7 @@ func decodeRakePayload(payload []byte) (weighting.Result, []float64, error) {
 			res.DeviationTrace[i] = r.Float64()
 		}
 	}
-	nw, err := readCount(r, "weight")
+	nw, err := r.count("weight", 8)
 	if err != nil {
 		return res, nil, err
 	}
@@ -365,11 +376,11 @@ func encodePanelPayload(members []population.PanelMember) ([]byte, error) {
 }
 
 func decodePanelPayload(payload []byte) ([]population.PanelMember, error) {
-	r := table.NewReader(bytes.NewReader(payload))
-	if err := checkMagic(r, payloadPanel); err != nil {
+	r := newPayloadReader(payload)
+	if err := checkMagic(r.Reader, payloadPanel); err != nil {
 		return nil, err
 	}
-	n, err := readCount(r, "panel member")
+	n, err := r.count("panel member", 1)
 	if err != nil {
 		return nil, err
 	}
@@ -382,7 +393,7 @@ func decodePanelPayload(payload []byte) ([]population.PanelMember, error) {
 	}
 	waves := make([][]*survey.Response, 2)
 	for wi := range waves {
-		tab, err := decodeTableBlock(r, survey.ResponseCodec{})
+		tab, err := decodeTableBlock(r.Reader, survey.ResponseCodec{})
 		if err != nil {
 			return nil, err
 		}
@@ -433,11 +444,11 @@ func encodeModAggPayload(agg []modlog.YearShares) ([]byte, error) {
 }
 
 func decodeModAggPayload(payload []byte) ([]modlog.YearShares, error) {
-	r := table.NewReader(bytes.NewReader(payload))
-	if err := checkMagic(r, payloadModAgg); err != nil {
+	r := newPayloadReader(payload)
+	if err := checkMagic(r.Reader, payloadModAgg); err != nil {
 		return nil, err
 	}
-	n, err := readCount(r, "year shares")
+	n, err := r.count("year shares", 3)
 	if err != nil {
 		return nil, err
 	}
@@ -445,7 +456,7 @@ func decodeModAggPayload(payload []byte) ([]modlog.YearShares, error) {
 	for i := range agg {
 		agg[i].Year = int(r.Varint())
 		agg[i].Users = int(r.Varint())
-		nk, err := readCount(r, "module share")
+		nk, err := r.count("module share", 9)
 		if err != nil {
 			return nil, err
 		}
@@ -511,26 +522,25 @@ func encodeSimPayload(res *sched.Result) ([]byte, error) {
 }
 
 func decodeSimPayload(payload []byte) (*sched.Result, error) {
-	r := table.NewReader(bytes.NewReader(payload))
-	if err := checkMagic(r, payloadSim); err != nil {
+	r := newPayloadReader(payload)
+	if err := checkMagic(r.Reader, payloadSim); err != nil {
 		return nil, err
 	}
-	n, err := readCount(r, "job result")
-	if err != nil {
-		return nil, err
-	}
+	// The job count comes before the job columns, so it is checked
+	// against the decoded columns, not the bytes left.
+	n := r.Uvarint()
 	cols := trace.JobCodec{}.NewColumns()
-	if err := cols.DecodeFrom(r); err != nil {
+	if err := cols.DecodeFrom(r.Reader); err != nil {
 		return nil, fmt.Errorf("core: sim payload jobs: %w", err)
 	}
-	if cols.Len() != n {
+	if uint64(cols.Len()) != n {
 		return nil, fmt.Errorf("core: sim payload has %d jobs, header says %d", cols.Len(), n)
 	}
-	res := &sched.Result{Results: make([]sched.JobResult, n)}
-	for i := 0; i < n; i++ {
+	res := &sched.Result{Results: make([]sched.JobResult, cols.Len())}
+	for i := range res.Results {
 		res.Results[i] = sched.JobResult{Job: cols.Row(i), Start: r.Varint(), Wait: r.Varint()}
 	}
-	ns, err := readCount(r, "utilization sample")
+	ns, err := r.count("utilization sample", 18)
 	if err != nil {
 		return nil, err
 	}

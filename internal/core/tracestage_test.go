@@ -26,7 +26,7 @@ func TestTraceStageHookEquivalence(t *testing.T) {
 	}
 	var calls atomic.Int64
 	hooked, err := RunWithOptions(context.Background(), cfg, RunOptions{
-		TraceStage: func(_ context.Context, cfg Config, year, rep int) (trace.JobTable, error) {
+		TraceStage: func(_ context.Context, cfg Config, year, rep int, _ func() (trace.JobTable, error)) (trace.JobTable, error) {
 			calls.Add(1)
 			tab, err := TraceReplicaTable(cfg, year, rep)
 			if err != nil {
@@ -55,7 +55,7 @@ func TestTraceStageHookError(t *testing.T) {
 	cfg := equivConfig()
 	boom := errors.New("peer melted")
 	_, err := RunWithOptions(context.Background(), cfg, RunOptions{
-		TraceStage: func(_ context.Context, cfg Config, year, rep int) (trace.JobTable, error) {
+		TraceStage: func(_ context.Context, cfg Config, year, rep int, _ func() (trace.JobTable, error)) (trace.JobTable, error) {
 			if year == cfg.TraceYears[len(cfg.TraceYears)-1] {
 				return nil, boom
 			}

@@ -1,6 +1,7 @@
 package modlog
 
 import (
+	"errors"
 	"sort"
 
 	"repro/internal/table"
@@ -77,7 +78,10 @@ func (c *EventColumns) DecodeFrom(r *table.Reader) error {
 		c.users = append(c.users, uint32(r.Uvarint()))
 		c.modules = append(c.modules, uint32(r.Uvarint()))
 	}
-	return r.Err()
+	if err := r.Err(); err != nil {
+		return err
+	}
+	return errors.Join(c.userDict.CheckCodes(c.users), c.modDict.CheckCodes(c.modules))
 }
 
 // MemBytes implements table.Columns.

@@ -1,6 +1,7 @@
 package modlog
 
 import (
+	"bytes"
 	"reflect"
 	"testing"
 
@@ -34,6 +35,28 @@ func TestEventColumnsRoundTrip(t *testing.T) {
 		}
 		if !reflect.DeepEqual(got, events) {
 			t.Fatalf("BatchSize=%d: events differ after columnar round trip", bs)
+		}
+	}
+}
+
+// TestEventColumnsRejectUnknownCodes: a decoded row whose dictionary
+// code names no entry is an error from DecodeFrom, not a panic in Row.
+func TestEventColumnsRejectUnknownCodes(t *testing.T) {
+	for _, tc := range []struct{ user, module uint64 }{{1, 0}, {0, 1}} {
+		var buf bytes.Buffer
+		w := table.NewWriter(&buf)
+		w.Uvarint(1) // user dictionary
+		w.String("u")
+		w.Uvarint(1) // module dictionary
+		w.String("m")
+		w.Uvarint(1) // rows
+		w.Varint(0)
+		w.Varint(2024)
+		w.Uvarint(tc.user)
+		w.Uvarint(tc.module)
+		cols := EventCodec{}.NewColumns()
+		if err := cols.DecodeFrom(table.NewReader(bytes.NewReader(buf.Bytes()))); err == nil {
+			t.Fatalf("codes (%d, %d) into one-entry dictionaries decoded without error", tc.user, tc.module)
 		}
 	}
 }

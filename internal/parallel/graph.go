@@ -89,8 +89,9 @@ type RetryPolicy struct {
 func (p RetryPolicy) enabled() bool { return p.MaxAttempts > 1 }
 
 // backoff returns the delay before the given attempt (2-based) with the
-// jitter stream for this stage. Deterministic: same stream state and
-// attempt always produce the same delay.
+// jitter stream for this stage; a nil stream (no retry seed) gives the
+// full capped delay. Deterministic: same stream state and attempt always
+// produce the same delay.
 func (p RetryPolicy) backoff(attempt int, jitter *rng.RNG) time.Duration {
 	d := p.BaseDelay
 	if d <= 0 {
@@ -105,6 +106,9 @@ func (p RetryPolicy) backoff(attempt int, jitter *rng.RNG) time.Duration {
 	}
 	if p.MaxDelay > 0 && d > p.MaxDelay {
 		d = p.MaxDelay
+	}
+	if jitter == nil {
+		return d
 	}
 	// Equal jitter: half fixed, half uniform — keeps retries spread
 	// without ever collapsing the delay to zero.
@@ -254,7 +258,7 @@ func (g *Graph) RunContext(ctx context.Context, workers int) error {
 			dependents[j] = append(dependents[j], i)
 		}
 	}
-	if err := checkAcyclic(g.stages, g.index); err != nil {
+	if err := checkAcyclic(g.stages, remaining, dependents); err != nil {
 		return err
 	}
 
@@ -392,7 +396,7 @@ func (g *Graph) execStage(ctx context.Context, st Stage) error {
 			return err
 		}
 		g.emit(Event{Stage: st.Name, Kind: EventRetry, Attempt: attempt, Err: err})
-		if d := g.retry.backoffFor(attempt+1, jitter); d > 0 {
+		if d := g.retry.backoff(attempt+1, jitter); d > 0 {
 			t := time.NewTimer(d)
 			select {
 			case <-t.C:
@@ -402,24 +406,6 @@ func (g *Graph) execStage(ctx context.Context, st Stage) error {
 			}
 		}
 	}
-}
-
-// backoffFor is backoff with a nil-jitter fallback.
-func (p RetryPolicy) backoffFor(attempt int, jitter *rng.RNG) time.Duration {
-	if jitter == nil {
-		d := p.BaseDelay
-		for i := 2; i < attempt; i++ {
-			d *= 2
-			if p.MaxDelay > 0 && d >= p.MaxDelay {
-				break
-			}
-		}
-		if p.MaxDelay > 0 && d > p.MaxDelay {
-			d = p.MaxDelay
-		}
-		return d
-	}
-	return p.backoff(attempt, jitter)
 }
 
 // runAttempt invokes one attempt of one stage, converting panics
@@ -483,18 +469,13 @@ func panicErr(p any) error {
 	return errors.New(fmt.Sprint(p))
 }
 
-// checkAcyclic runs Kahn's algorithm over the stage set and names one
-// stage on any cycle found.
-func checkAcyclic(stages []Stage, index map[string]int) error {
+// checkAcyclic runs Kahn's algorithm over the stage set, given each
+// stage's dependency count and reverse edges, and names one stage on
+// any cycle found. It works on a copy of the counts, which the caller
+// goes on to schedule with.
+func checkAcyclic(stages []Stage, deps []int, next [][]int) error {
 	n := len(stages)
-	indeg := make([]int, n)
-	next := make([][]int, n)
-	for i, st := range stages {
-		indeg[i] = len(st.Deps)
-		for _, d := range st.Deps {
-			next[index[d]] = append(next[index[d]], i)
-		}
-	}
+	indeg := append([]int(nil), deps...)
 	queue := make([]int, 0, n)
 	for i, d := range indeg {
 		if d == 0 {

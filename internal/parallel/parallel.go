@@ -1,8 +1,7 @@
 // Package parallel provides the small concurrent runtime the study
 // pipeline uses to fan generation and analysis out across cores while
 // staying deterministic: chunked parallel map with stable output order,
-// a bounded worker pool, fold/reduce over chunk partials, and sharded
-// counters for hot aggregation paths.
+// fold/reduce over chunk partials, and a stage graph (graph.go).
 //
 // Determinism convention: callers split an rng stream per chunk *before*
 // submitting work, so results are identical for any worker count —
@@ -11,7 +10,6 @@ package parallel
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"runtime"
 	"sync"
@@ -151,130 +149,4 @@ func Fold[R, A any](partials []R, init A, merge func(A, R) A) A {
 		acc = merge(acc, p)
 	}
 	return acc
-}
-
-// ErrPoolClosed is returned by Pool.Submit after Close.
-var ErrPoolClosed = errors.New("parallel: pool closed")
-
-// Pool is a bounded worker pool for heterogeneous background tasks.
-// Tasks are arbitrary funcs; errors are collected and returned by Wait.
-type Pool struct {
-	tasks  chan func() error
-	wg     sync.WaitGroup
-	mu     sync.Mutex
-	errs   []error
-	closed bool
-}
-
-// NewPool starts workers goroutines servicing a queue of depth queue.
-func NewPool(workers, queue int) *Pool {
-	if workers <= 0 {
-		workers = Workers()
-	}
-	if queue < 0 {
-		queue = 0
-	}
-	p := &Pool{tasks: make(chan func() error, queue)}
-	p.wg.Add(workers)
-	for i := 0; i < workers; i++ {
-		go func() {
-			defer p.wg.Done()
-			defer func() {
-				// Task panics are recovered per-task in runTask; this
-				// keeps a pool worker from ever killing the process.
-				if r := recover(); r != nil {
-					p.mu.Lock()
-					p.errs = append(p.errs, fmt.Errorf("parallel: pool worker panicked: %v", r))
-					p.mu.Unlock()
-				}
-			}()
-			for t := range p.tasks {
-				if err := runTask(t); err != nil {
-					p.mu.Lock()
-					p.errs = append(p.errs, err)
-					p.mu.Unlock()
-				}
-			}
-		}()
-	}
-	return p
-}
-
-func runTask(t func() error) (err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			err = fmt.Errorf("parallel: pool task panicked: %v", r)
-		}
-	}()
-	return t()
-}
-
-// Submit enqueues a task, blocking if the queue is full. It returns
-// ErrPoolClosed after Close.
-func (p *Pool) Submit(t func() error) error {
-	p.mu.Lock()
-	closed := p.closed
-	p.mu.Unlock()
-	if closed {
-		return ErrPoolClosed
-	}
-	p.tasks <- t
-	return nil
-}
-
-// Close stops accepting tasks and waits for in-flight tasks to finish,
-// returning the accumulated task errors joined together (nil if none).
-func (p *Pool) Close() error {
-	p.mu.Lock()
-	if p.closed {
-		p.mu.Unlock()
-		p.wg.Wait()
-		return errors.Join(p.errs...)
-	}
-	p.closed = true
-	p.mu.Unlock()
-	close(p.tasks)
-	p.wg.Wait()
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return errors.Join(p.errs...)
-}
-
-// Counter is a sharded int64 counter that avoids cache-line contention
-// on hot aggregation paths (e.g. counting jobs per class while scanning
-// a trace concurrently).
-type Counter struct {
-	shards []paddedInt64
-}
-
-type paddedInt64 struct {
-	v atomic.Int64
-	_ [56]byte // pad to a cache line so shards don't false-share
-}
-
-// NewCounter creates a counter with one shard per worker.
-func NewCounter() *Counter {
-	n := Workers()
-	if n < 4 {
-		n = 4
-	}
-	return &Counter{shards: make([]paddedInt64, n)}
-}
-
-// Add increments the counter by delta. shard selects which shard to hit;
-// callers pass their worker index (any int is safe).
-func (c *Counter) Add(shard int, delta int64) {
-	if shard < 0 {
-		shard = -shard
-	}
-	c.shards[shard%len(c.shards)].v.Add(delta)
-}
-
-// Value returns the current total across shards.
-func (c *Counter) Value() int64 {
-	var t int64
-	for i := range c.shards {
-		t += c.shards[i].v.Load()
-	}
-	return t
 }

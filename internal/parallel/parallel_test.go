@@ -2,8 +2,6 @@ package parallel
 
 import (
 	"errors"
-	"fmt"
-	"sync/atomic"
 	"testing"
 	"testing/quick"
 )
@@ -131,84 +129,6 @@ func TestFoldOrdered(t *testing.T) {
 	got := Fold([]string{"a", "b", "c"}, "", func(a string, r string) string { return a + r })
 	if got != "abc" {
 		t.Fatalf("fold=%q", got)
-	}
-}
-
-func TestPoolRunsAll(t *testing.T) {
-	p := NewPool(4, 16)
-	var n atomic.Int64
-	for i := 0; i < 200; i++ {
-		if err := p.Submit(func() error { n.Add(1); return nil }); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := p.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if n.Load() != 200 {
-		t.Fatalf("ran %d of 200", n.Load())
-	}
-}
-
-func TestPoolCollectsErrors(t *testing.T) {
-	p := NewPool(2, 4)
-	for i := 0; i < 10; i++ {
-		i := i
-		_ = p.Submit(func() error {
-			if i%3 == 0 {
-				return fmt.Errorf("task %d failed", i)
-			}
-			return nil
-		})
-	}
-	err := p.Close()
-	if err == nil {
-		t.Fatal("errors dropped")
-	}
-}
-
-func TestPoolSubmitAfterClose(t *testing.T) {
-	p := NewPool(1, 1)
-	if err := p.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if err := p.Submit(func() error { return nil }); !errors.Is(err, ErrPoolClosed) {
-		t.Fatalf("err=%v", err)
-	}
-	// Double close is safe.
-	if err := p.Close(); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestPoolPanicBecomesError(t *testing.T) {
-	p := NewPool(1, 1)
-	_ = p.Submit(func() error { panic("pool kaboom") })
-	if err := p.Close(); err == nil {
-		t.Fatal("panic swallowed by pool")
-	}
-}
-
-func TestCounter(t *testing.T) {
-	c := NewCounter()
-	done := make(chan struct{})
-	for w := 0; w < 8; w++ {
-		go func(w int) {
-			for i := 0; i < 1000; i++ {
-				c.Add(w, 1)
-			}
-			done <- struct{}{}
-		}(w)
-	}
-	for w := 0; w < 8; w++ {
-		<-done
-	}
-	if c.Value() != 8000 {
-		t.Fatalf("counter=%d", c.Value())
-	}
-	c.Add(-5, 2) // negative shard index must be safe
-	if c.Value() != 8002 {
-		t.Fatalf("counter=%d", c.Value())
 	}
 }
 

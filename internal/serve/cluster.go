@@ -11,6 +11,7 @@ import (
 	"strconv"
 
 	"repro/internal/cluster"
+	"repro/internal/core"
 	"repro/internal/table"
 	"repro/internal/trace"
 )
@@ -195,7 +196,7 @@ func (s *Server) handlePeerStage(w http.ResponseWriter, r *http.Request) {
 	// already produced is served from the stage cache — the key covers
 	// only fingerprint-relevant fields, so the stripped execution knobs
 	// cannot fork it.
-	tab, err := s.localTraceStage(cfg, req.Year, req.Rep)
+	tab, err := core.CachedTraceReplicaTable(cfg, req.Year, req.Rep, s.stageCache)
 	if err != nil {
 		s.writeJSON(w, http.StatusUnprocessableEntity, apiError{Error: err.Error()})
 		return

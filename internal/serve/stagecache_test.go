@@ -8,6 +8,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"repro/internal/core"
 )
 
 // metricValue extracts one un-labeled counter/gauge sample from the
@@ -88,10 +90,10 @@ func TestStageCacheMetricsGated(t *testing.T) {
 }
 
 // TestLocalTraceStageServedFromCache pins the peer-serving seam: after
-// a pipeline run has populated the stage cache, localTraceStage — the
-// compute behind both /v1/peer/stage and the dispatch fallback — must
-// answer from the cache with the exact bytes the run stored, and a
-// stage-cache-less server must compute the identical table.
+// a pipeline run has populated the stage cache, the compute behind
+// /v1/peer/stage (core.CachedTraceReplicaTable over the server's stage
+// cache) must answer from the key the run stored, without storing
+// again, and return the table a cache-less compute returns.
 func TestLocalTraceStageServedFromCache(t *testing.T) {
 	s := newTestServer(t, Options{StageCache: true})
 	h := s.Handler()
@@ -102,20 +104,23 @@ func TestLocalTraceStageServedFromCache(t *testing.T) {
 	cfg := s.baseCfg
 	cfg.Seed = 31
 	hitsBefore := metricValue(t, h, "rcpt_stagecache_hits_total")
-	tab, err := s.localTraceStage(cfg, cfg.TraceYears[0], 0)
+	storesBefore := metricValue(t, h, "rcpt_stagecache_stores_total")
+	tab, err := core.CachedTraceReplicaTable(cfg, cfg.TraceYears[0], 0, s.stageCache)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if hits := metricValue(t, h, "rcpt_stagecache_hits_total"); hits != hitsBefore+1 {
 		t.Fatalf("stage steal did not hit the cache (hits %v -> %v)", hitsBefore, hits)
 	}
+	if stores := metricValue(t, h, "rcpt_stagecache_stores_total"); stores != storesBefore {
+		t.Fatalf("stage steal stored again (stores %v -> %v)", storesBefore, stores)
+	}
 	hash, err := tab.Hash()
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	plain := newTestServer(t, Options{})
-	want, err := plain.localTraceStage(cfg, cfg.TraceYears[0], 0)
+	want, err := core.TraceReplicaTable(cfg, cfg.TraceYears[0], 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,6 +130,26 @@ func TestLocalTraceStageServedFromCache(t *testing.T) {
 	}
 	if hash != wantHash {
 		t.Fatalf("cache-served stage hash %x != computed %x", hash, wantHash)
+	}
+}
+
+// TestClusterStageCacheStoresOnce: a stage-cached cluster replica looks
+// up and stores each stage once per run, exactly as a standalone
+// stage-cached server does — the cluster's dispatch hook runs inside
+// the stage cache, never beside a second lookup of its own.
+func TestClusterStageCacheStoresOnce(t *testing.T) {
+	alone := newTestServer(t, Options{StageCache: true})
+	rep := startReplicasWith(t, 1, "", func(_ int, o *Options) { o.StageCache = true })[0].srv
+	for _, s := range []*Server{alone, rep} {
+		if w := post(t, s.Handler(), "/v1/run", `{"seed": 11}`); w.Code != 200 {
+			t.Fatalf("run = %d: %s", w.Code, w.Body)
+		}
+	}
+	for _, name := range []string{"rcpt_stagecache_stores_total", "rcpt_stagecache_misses_total"} {
+		want := metricValue(t, alone.Handler(), name)
+		if got := metricValue(t, rep.Handler(), name); got != want || want == 0 {
+			t.Fatalf("%s: clustered replica %v, standalone server %v", name, got, want)
+		}
 	}
 }
 

@@ -147,6 +147,12 @@ func (r *Reader) String() string {
 		r.fail(fmt.Errorf("table: string length %d exceeds sanity bound", n))
 		return ""
 	}
+	// An in-memory source (bytes.Reader, strings.Reader) knows how many
+	// bytes are left; a length past them is rejected before allocating.
+	if l, ok := r.r.(interface{ Len() int }); ok && n > uint64(l.Len()) {
+		r.fail(io.ErrUnexpectedEOF)
+		return ""
+	}
 	buf := make([]byte, n)
 	r.full(buf)
 	return string(buf)
@@ -193,6 +199,18 @@ func (d *Dict) Value(c uint32) string { return d.vals[c] }
 
 // Len returns the number of distinct values.
 func (d *Dict) Len() int { return len(d.vals) }
+
+// CheckCodes reports the first code in codes that names no value. A
+// column decoder calls it on the codes it read, since Value panics on
+// such a code.
+func (d *Dict) CheckCodes(codes []uint32) error {
+	for _, c := range codes {
+		if int(c) >= len(d.vals) {
+			return fmt.Errorf("table: dictionary code %d out of range [0, %d)", c, len(d.vals))
+		}
+	}
+	return nil
+}
 
 // Reset clears the dictionary for batch reuse.
 func (d *Dict) Reset() {

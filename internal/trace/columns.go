@@ -1,6 +1,7 @@
 package trace
 
 import (
+	"errors"
 	"io"
 	"sort"
 
@@ -145,7 +146,11 @@ func (c *JobColumns) DecodeFrom(r *table.Reader) error {
 		c.states = append(c.states, uint32(r.Uvarint()))
 		c.languages = append(c.languages, uint32(r.Uvarint()))
 	}
-	return r.Err()
+	if err := r.Err(); err != nil {
+		return err
+	}
+	return errors.Join(c.userDict.CheckCodes(c.users), c.acctDict.CheckCodes(c.accounts),
+		c.partDict.CheckCodes(c.parts), c.stateDict.CheckCodes(c.states), c.langDict.CheckCodes(c.languages))
 }
 
 // MemBytes implements table.Columns.
